@@ -80,10 +80,6 @@ class BlockHammer(MitigationMechanism):
             self.act_allowed_at = self.rowblocker.allowed_at
 
     # ------------------------------------------------------------------
-    def on_time_advance(self, now: float) -> None:
-        self.rowblocker.maybe_rotate(now)
-        self.throttler.maybe_rotate(now)
-
     def advance_to(self, now: float) -> float:
         # Between CBF rotations and throttler epoch clears, BlockHammer
         # state only changes through ACTs the controller itself issues.

@@ -41,7 +41,3 @@ class Command:
     bank: int
     row: int = 0
     col: int = 0
-
-    def is_column(self) -> bool:
-        """Return True for data-transferring commands (RD/WR)."""
-        return self.kind in (CommandKind.RD, CommandKind.WR)

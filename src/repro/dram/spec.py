@@ -112,18 +112,9 @@ class DramSpec:
         """Upper bound on single-bank ACTs within one tREFW (via tRC)."""
         return self.tREFW / self.tRC
 
-    @property
-    def max_rank_acts_in(self) -> float:
-        """Peak rank-level activation rate implied by tFAW (ACTs/ns)."""
-        return 4.0 / self.tFAW
-
     def read_latency(self) -> float:
         """Data availability latency after a RD command issues."""
         return self.tCL + self.tBL
-
-    def write_latency(self) -> float:
-        """Data bus occupancy end after a WR command issues."""
-        return self.tCWL + self.tBL
 
     # ------------------------------------------------------------------
     # Scaling for tractable simulation.

@@ -289,26 +289,6 @@ def assemble_mix_rows(
     return rows
 
 
-def run_mix_sweep(
-    hcfg: HarnessConfig,
-    mixes: list[WorkloadMix],
-    mechanisms: list[str],
-    scenario: str,
-    runner: Runner | None = None,
-    workers: int | None = None,
-    cache=None,
-) -> list[MixOutcomeRow]:
-    """Run every (mix, mechanism) pair plus the shared baseline.
-
-    ``runner`` is accepted for backward compatibility; cross-run reuse
-    now happens through job deduplication instead of a shared Runner.
-    """
-    del runner
-    jobs = mix_sweep_jobs(hcfg, mixes, mechanisms)
-    results = run_jobs(jobs, workers, cache=cache)
-    return assemble_mix_rows(hcfg, mixes, mechanisms, scenario, results)
-
-
 def fig5_multicore(
     hcfg: HarnessConfig,
     num_mixes: int = 3,

@@ -18,7 +18,7 @@ Priority order within a step:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.aggregate import merge_fields
 
@@ -29,7 +29,7 @@ from repro.dram.spec import DramSpec
 from repro.mem.queues import RequestQueue
 from repro.mem.refresh import RefreshManager
 from repro.mem.request import Request, ServiceClass
-from repro.mem.scheduler import FrFcfsPolicy, SchedulingPolicy, Selection
+from repro.mem.scheduler import FrFcfsPolicy, SchedulingPolicy
 from repro.mitigations.base import MitigationMechanism, NoMitigation
 from repro.utils.validation import require
 
@@ -106,8 +106,9 @@ class MemoryController:
 
     #: Trace probe (``mem`` category), bound by the System when a
     #: telemetry bus is attached.  Emission sites live only on rare
-    #: branches (quota rejections, REF/VREF issue), never in the
-    #: scheduling hot loop, so the disabled path costs nothing.
+    #: branches (quota rejections, REF/VREF issue, selects outside the
+    #: fused fast path), never on the fused path, so the disabled path
+    #: costs nothing.
     probe = None
 
     def __init__(
@@ -271,10 +272,6 @@ class MemoryController:
             request.service_class = ServiceClass.CONFLICT
             stats.row_conflicts += 1
 
-    def inflight_for(self, thread: int, rank: int, bank: int) -> int:
-        """Current in-flight request count for a <thread, bank> pair."""
-        return self._inflight.get((thread << 16) | bank_key(rank, bank), 0)
-
     # ------------------------------------------------------------------
     # Dirty-bank tracking for the incremental scheduler.
     # ------------------------------------------------------------------
@@ -319,23 +316,6 @@ class MemoryController:
         _, wake = self.run_until(now, _peek_nothing, now)
         return wake
 
-    def next_event_time(self, now: float) -> float:
-        """The channel's quiescence horizon: the earliest future instant
-        at which this controller can make progress, folding the refresh
-        deadline, victim-refresh backlog and the scheduler's normative
-        ``Selection.next_ready`` into one time.  Returns ``now`` when a
-        command could issue immediately (or conservatively when victim
-        refreshes are pending), ``_NEVER`` when fully idle.
-        """
-        due = self.refresh.earliest
-        if due <= now or self._pending_vref_count:
-            return now
-        selection = self._select_request_command(now, _NO_RANKS)
-        if selection.command is not None:
-            return now
-        wake = selection.next_ready
-        return due if due < wake else wake
-
     def run_until(self, now: float, peek, hard_limit: float) -> tuple[int, float]:
         """Run scheduling steps starting at ``now``, leaping local time
         from each step directly to the next, until the next step would
@@ -365,8 +345,7 @@ class MemoryController:
         write_items = self._write_items
         read_queue = self.read_queue
         write_queue = self.write_queue
-        device = self.device
-        policy_select = self.policy.select_raw
+        policy_select = self._policy_select
         fused_read = self._fused_read
         fused_write = self._fused_write
         issue_for = self._issue_for_request
@@ -426,12 +405,12 @@ class MemoryController:
                 elif w < wake:
                     wake = w
 
-            # 3. Normal requests.  Inlined drain-mode + policy dispatch
-            # (keep in lockstep with _select_request_command, which
-            # serves the probe/oracle path): writes are served in
-            # batches — forced drain above the high watermark,
-            # opportunistic drain when reads are idle and a batch has
-            # accumulated.
+            # 3. Normal requests.  Writes are served in batches: forced
+            # drain above the high watermark, opportunistic drain when
+            # reads are idle and a batch has accumulated.  Outside those
+            # windows, writes never issue row commands — a lone write's
+            # precharge would ping-pong open rows underneath the read
+            # stream.
             if not issued:
                 writes_pending = len(write_items)
                 if writes_pending >= drain_high:
@@ -443,24 +422,18 @@ class MemoryController:
                     if fused:
                         cmd, req, ready = fused_write(t)
                     else:
-                        cmd, req, ready = policy_select(
-                            write_queue, device, mitigation, t, blocked_ranks
-                        )
+                        cmd, req, ready = policy_select(write_queue, t, blocked_ranks)
                     if cmd is None:
                         if fused:
                             cmd, req, ready2 = fused_read(t)
                         else:
-                            cmd, req, ready2 = policy_select(
-                                read_queue, device, mitigation, t, blocked_ranks
-                            )
+                            cmd, req, ready2 = policy_select(read_queue, t, blocked_ranks)
                         if ready2 < ready:
                             ready = ready2
                 elif fused:
                     cmd, req, ready = fused_read(t)
                 else:
-                    cmd, req, ready = policy_select(
-                        read_queue, device, mitigation, t, blocked_ranks
-                    )
+                    cmd, req, ready = policy_select(read_queue, t, blocked_ranks)
                 if cmd is not None:
                     issue_for(cmd, req, t)
                     issued = True
@@ -579,41 +552,17 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Normal request handling.
     # ------------------------------------------------------------------
-    def _select_request_command(
-        self, now: float, blocked_ranks: frozenset[int]
-    ) -> Selection:
-        """Run the policy over reads/writes per the drain mode."""
-        writes_pending = len(self._write_items)
-        if writes_pending >= self.config.write_drain_high:
-            self._write_draining = True
-        elif writes_pending <= self.config.write_drain_low:
-            self._write_draining = False
-
-        # Writes are served in batches: forced drain above the high
-        # watermark, opportunistic drain when reads are idle and a batch
-        # has accumulated.  Outside those windows, writes never issue
-        # row commands — a lone write's precharge would ping-pong open
-        # rows underneath the read stream.
-        opportunistic = not self._read_items and (
-            writes_pending >= self.config.write_drain_low
-        )
-        if self._write_draining or opportunistic:
-            sel = self.policy.select(
-                self.write_queue, self.device, self.mitigation, now, blocked_ranks
+    def _policy_select(
+        self, queue: RequestQueue, now: float, blocked_ranks: frozenset[int]
+    ) -> tuple[Command | None, Request | None, float]:
+        """A select off the fused path (refresh-draining windows,
+        multi-rank devices, policies without a fused closure), traced
+        as ``sched_full_scan`` on this channel's track."""
+        if self.probe is not None:
+            self.probe(
+                now, "sched_full_scan", self.channel_id, blocked_ranks=len(blocked_ranks)
             )
-            if sel.command is not None:
-                return sel
-            sel2 = self.policy.select(
-                self.read_queue, self.device, self.mitigation, now, blocked_ranks
-            )
-            if sel2.command is not None:
-                return sel2
-            return Selection(None, None, min(sel.next_ready, sel2.next_ready))
-
-        sel = self.policy.select(
-            self.read_queue, self.device, self.mitigation, now, blocked_ranks
-        )
-        return sel
+        return self.policy.select_raw(queue, self.device, self.mitigation, now, blocked_ranks)
 
     def _issue_for_request(self, cmd: Command, request: Request, now: float) -> None:
         """Commit a policy-selected command and update request state."""

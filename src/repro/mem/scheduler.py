@@ -144,9 +144,6 @@ class SchedulingPolicy:
     """Interface: pick the next command for a set of queued requests."""
 
     name = "base"
-    #: Trace probe (``mem`` category), bound by the System when a
-    #: telemetry bus is attached; only rare branches may emit.
-    probe = None
 
     def select(
         self,
@@ -244,8 +241,10 @@ class FrFcfsPolicy(SchedulingPolicy):
 
     Incremental: re-examines only banks whose queue contents, row-buffer
     state, or mitigation verdicts changed since the last step (see the
-    module docstring for the dirty/expiry protocol).  Plain-list inputs
-    carry no cache and fall back to the reference scan.
+    module docstring for the dirty/expiry protocol).  The fast path is
+    one body, :meth:`make_fused`; refresh-draining windows and
+    multi-rank devices take the every-bank :meth:`_scan_select`, and
+    plain-list inputs (no cache) the reference scan.
     """
 
     name = "fr-fcfs"
@@ -271,329 +270,42 @@ class FrFcfsPolicy(SchedulingPolicy):
         now: float,
         blocked_ranks: frozenset[int],
     ) -> tuple[Command | None, Request | None, float]:
+        """Dispatch one step to the path that applies.  A one-call
+        :meth:`make_fused` closure is exact: all incremental state lives
+        on the :class:`~repro.mem.queues.RequestQueue`, not the closure.
+        """
         if not isinstance(requests, RequestQueue):
             sel = _naive_select(requests, device, mitigation, now, blocked_ranks)
-            return sel.command, sel.request, sel.next_ready
-        if blocked_ranks or len(device.ranks) != 1:
-            # Refresh-draining windows (and hypothetical multi-rank
-            # devices, whose per-rank ACT constraint does not factor
-            # out of the class minima) take the every-bank scan.
-            if self.probe is not None:
-                self.probe(
-                    now, "sched_full_scan", 0, blocked_ranks=len(blocked_ranks)
-                )
+        elif blocked_ranks or len(device.ranks) != 1:
+            # Refresh-draining windows (and multi-rank devices, whose
+            # per-rank ACT constraint does not factor out of the class
+            # minima) take the every-bank scan.
             sel = self._scan_select(requests, device, mitigation, now, blocked_ranks)
-            return sel.command, sel.request, sel.next_ready
-
-        # Incremental path: one step touches only (a) banks dirtied
-        # since the last step, (b) banks whose verdict horizon passed,
-        # and (c) banks that are *ready* — everything else is covered
-        # by three exact class minima.  A bank's wake decomposes as
-        # max(bank-local time, shared scalar) where the shared scalar
-        # (data-bus occupancy for hits, rank tRRD/tFAW for ACTs) is
-        # class-wide, so min-over-banks = max(class min-heap top,
-        # shared scalar), and a bank is ready iff its local time AND
-        # the shared scalar have both come due — the ready set is a
-        # heap prefix.  Heap items are lazy: an item is dead when its
-        # entry is no longer the bank's cached one; dead tops pop on
-        # sight, so a live top is the exact class minimum.
-        (
-            cache,
-            by_bank,
-            dirty,
-            expiry_heap,
-            hit_heap,
-            act_heap,
-            pre_heap,
-            ready_hits,
-            ready_acts,
-            ready_pres,
-        ) = requests.hot
-        cache_get = cache.get
-        flat_banks, rank0, tCL, tCWL = device.select_hot
-        bus_free = device._bus_free
-        rd_bus_ready = bus_free - tCL
-        wr_bus_ready = bus_free - tCWL
-        stable = _NEVER if mitigation.never_blocks else mitigation.act_block_stable
-        act_allowed_at = mitigation.act_allowed_at
-        rank_t = -1.0  # lazy: rank ACT readiness at most once per step
-
-        ACT = CommandKind.ACT
-        next_ready = _NEVER
-        best_hit: Request | None = None
-        best_hit_seq = -1
-        best_row: Request | None = None
-        best_row_seq = -1
-        best_row_kind = None
-        best_row_row = -1
-        heap_seq = requests.heap_seq
-
-        # 1. Re-examine dirtied banks; 2. re-examine banks whose
-        # verdict horizon has passed.  Fresh entries go to the cache
-        # and heaps; uncacheable decisions (horizon already passed —
-        # mechanisms declaring no stability) are kept aside for inline
-        # evaluation and the bank stays dirty.
-        uncached: list | None = None
-        redirty: list | None = None
-        if dirty:
-            for key in dirty:
-                bank_requests = by_bank.get(key)
-                if bank_requests is None:
-                    cache.pop(key, None)
-                    continue
-                entry = _examine_bank(
-                    bank_requests, flat_banks[key], now, act_allowed_at, stable, False
-                )
-                if entry[4] > now:
-                    # Store + heap registration.  Keep this block in
-                    # lockstep with its copy in the expiry drain below:
-                    # inlined twice because this is the innermost hot
-                    # loop and a per-bank helper call is measurable.
-                    cache[key] = entry
-                    heap_seq += 1
-                    item = (entry[6], heap_seq, key, entry)
-                    tag = entry[0]
-                    if tag == _HIT:
-                        heappush(hit_heap, item)
-                    elif entry[2] is ACT:
-                        heappush(act_heap, item)
-                    else:
-                        heappush(pre_heap, item)
-                    if entry[4] < _NEVER:
-                        heappush(expiry_heap, (entry[4], heap_seq, key, entry))
-                else:
-                    cache.pop(key, None)
-                    if uncached is None:
-                        uncached = []
-                        redirty = []
-                    uncached.append(entry)
-                    redirty.append(key)
-            dirty.clear()
-            if redirty is not None:
-                dirty.update(redirty)
-        while expiry_heap:
-            item = expiry_heap[0]
-            key = item[2]
-            if cache_get(key) is not item[3]:
-                heappop(expiry_heap)
-                continue
-            if item[0] > now:
-                break
-            heappop(expiry_heap)
-            entry = _examine_bank(
-                by_bank[key], flat_banks[key], now, act_allowed_at, stable, False
-            )
-            if entry[4] > now:
-                # Mirror of the dirty-drain store block above — keep
-                # the two in lockstep.
-                cache[key] = entry
-                heap_seq += 1
-                hitem = (entry[6], heap_seq, key, entry)
-                tag = entry[0]
-                if tag == _HIT:
-                    heappush(hit_heap, hitem)
-                elif entry[2] is ACT:
-                    heappush(act_heap, hitem)
-                else:
-                    heappush(pre_heap, hitem)
-                if entry[4] < _NEVER:
-                    heappush(expiry_heap, (entry[4], heap_seq, key, entry))
-            else:
-                del cache[key]
-                dirty.add(key)
-                if uncached is None:
-                    uncached = []
-                uncached.append(entry)
-        requests.heap_seq = heap_seq
-
-        # 3. Inline evaluation of uncacheable bank decisions (their
-        # banks stay dirty, so every step re-queries — exactly the
-        # naive behaviour such mechanisms get today).
-        if uncached is not None:
-            for entry in uncached:
-                tag = entry[0]
-                if tag == _HIT:
-                    req = entry[1]
-                    t = entry[6]
-                    bus = wr_bus_ready if req.is_write else rd_bus_ready
-                    if bus > t:
-                        t = bus
-                    if t <= now:
-                        seq = req.queue_seq
-                        if best_hit is None or seq < best_hit_seq:
-                            best_hit = req
-                            best_hit_seq = seq
-                    elif t < next_ready:
-                        next_ready = t
-                    continue
-                t = entry[6]
-                if entry[2] is ACT:
-                    if rank_t < 0.0:
-                        rank_t = rank0._act_ready
-                        if rank_t < now:
-                            rank_t = now
-                    if rank_t > t:
-                        t = rank_t
-                if tag == _IDLE:
-                    if t < next_ready:
-                        next_ready = t
-                    continue
-                if t > now:
-                    if t < next_ready:
-                        next_ready = t
-                    continue
-                req = entry[1]
-                seq = req.queue_seq
-                if best_row is None or seq < best_row_seq:
-                    best_row = req
-                    best_row_seq = seq
-                    best_row_kind = entry[2]
-                    best_row_row = entry[3]
-
-        # 4. Ready candidates and exact wakes from the class heaps.
-        # Dirty banks for step-1's uncacheable entries were re-added
-        # above via ``dirty``; heaps only ever hold cached entries, so
-        # every minimum below is exact.  A bank-local time never
-        # un-passes, so an entry migrates from the local-time wake heap
-        # to the class's arrival-ordered ready heap exactly once; the
-        # FR-FCFS winner is then the live ready-heap top (the oldest
-        # locally-ready candidate), and a gated class's wake needs no
-        # per-item scan: with any locally-ready item the shared scalar
-        # is the binding constraint, without one it is max(shared,
-        # oldest local time).
-        # --- hits (shared scalar: data-bus occupancy) ---
-        while hit_heap:
-            item = hit_heap[0]
-            if cache_get(item[2]) is not item[3]:
-                heappop(hit_heap)
-                continue
-            if item[0] > now:
-                break
-            heappop(hit_heap)
-            entry = item[3]
-            heappush(ready_hits, (entry[1].queue_seq, item[2], entry))
-        while ready_hits and cache_get(ready_hits[0][1]) is not ready_hits[0][2]:
-            heappop(ready_hits)
-        if ready_hits:
-            req = ready_hits[0][2][1]
-            bus = wr_bus_ready if req.is_write else rd_bus_ready
-            if bus > now:
-                # Bus not free: no hit is ready anywhere, and some
-                # bank's column timing has already passed, so the bus
-                # is the binding constraint.
-                if bus < next_ready:
-                    next_ready = bus
-            else:
-                seq = ready_hits[0][0]
-                if best_hit is None or seq < best_hit_seq:
-                    best_hit = req
-                    best_hit_seq = seq
-        if hit_heap:
-            item = hit_heap[0]  # live: dead tops popped above
-            t = item[0]
-            bus = wr_bus_ready if item[3][1].is_write else rd_bus_ready
-            if bus > t:
-                t = bus
-            if t < next_ready:
-                next_ready = t
-
-        # --- ACT deciders (shared scalar: rank tRRD/tFAW) ---
-        while act_heap:
-            item = act_heap[0]
-            if cache_get(item[2]) is not item[3]:
-                heappop(act_heap)
-                continue
-            if item[0] > now:
-                break
-            heappop(act_heap)
-            entry = item[3]
-            # A live _IDLE entry cannot come due (its expiry precedes
-            # its wake), so migrating entries are _ROW deciders.
-            heappush(ready_acts, (entry[1].queue_seq, item[2], entry))
-        while ready_acts and cache_get(ready_acts[0][1]) is not ready_acts[0][2]:
-            heappop(ready_acts)
-        if ready_acts:
-            if rank_t < 0.0:
-                rank_t = rank0._act_ready
-                if rank_t < now:
-                    rank_t = now
-            if rank_t > now:
-                # Rank ACT budget exhausted: it alone gates the class.
-                if rank_t < next_ready:
-                    next_ready = rank_t
-            else:
-                seq = ready_acts[0][0]
-                entry = ready_acts[0][2]
-                req = entry[1]
-                if best_row is None or seq < best_row_seq:
-                    best_row = req
-                    best_row_seq = seq
-                    best_row_kind = ACT
-                    best_row_row = entry[3]
-        if act_heap:
-            t = act_heap[0][0]
-            if rank_t < 0.0:
-                rank_t = rank0._act_ready
-                if rank_t < now:
-                    rank_t = now
-            if rank_t > t:
-                t = rank_t
-            if t < next_ready:
-                next_ready = t
-
-        # --- PRE deciders (no shared scalar) ---
-        while pre_heap:
-            item = pre_heap[0]
-            if cache_get(item[2]) is not item[3]:
-                heappop(pre_heap)
-                continue
-            if item[0] > now:
-                break
-            heappop(pre_heap)
-            entry = item[3]
-            heappush(ready_pres, (entry[1].queue_seq, item[2], entry))
-        while ready_pres and cache_get(ready_pres[0][1]) is not ready_pres[0][2]:
-            heappop(ready_pres)
-        if ready_pres:
-            seq = ready_pres[0][0]
-            entry = ready_pres[0][2]
-            req = entry[1]
-            if best_row is None or seq < best_row_seq:
-                best_row = req
-                best_row_seq = seq
-                best_row_kind = CommandKind.PRE
-                best_row_row = entry[3]
-        if pre_heap:
-            t = pre_heap[0][0]
-            if t < next_ready:
-                next_ready = t
-
-        # Column commands (row-buffer hits) always outrank row commands.
-        if best_hit is not None:
-            req = best_hit
-            kind = CommandKind.WR if req.is_write else CommandKind.RD
-            return Command(kind, req.rank, req.bank, req.row, req.col), req, now
-        if best_row is not None:
-            req = best_row
-            return Command(best_row_kind, req.rank, req.bank, best_row_row), req, now
-        return None, None, next_ready
+        else:
+            return self.make_fused(requests, device, mitigation)(now)
+        return sel.command, sel.request, sel.next_ready
 
     def make_fused(self, requests, device, mitigation):
-        """Specialize the incremental :meth:`select_raw` path for one
-        fixed (queue, device, mitigation) triple.
+        """The incremental FR-FCFS step for one fixed (queue, device,
+        mitigation) triple: ``fused(now) -> (command, request,
+        next_ready)`` with every stable object prebound as a closure
+        cell, or None when the fast path does not apply (plain-list
+        queue, multi-rank device).  Callers pass no refresh-draining
+        ranks.  Mutable scalars (bus occupancy, heap sequence) are read
+        live each call; verdict stability only when some bank needs
+        re-examination.
 
-        Returns ``fused(now) -> (command, request, next_ready)`` with
-        every stable object — the queue's cache/heap bundle, the flat
-        bank table, the mitigation's gate — prebound as closure cells,
-        or None when the fast path does not apply (plain-list queue,
-        multi-rank device).  The controller calls it only with no
-        refresh-draining ranks; mutable scalars (bus occupancy, verdict
-        stability, heap sequence) are still read live each call.
-
-        The body is :meth:`select_raw`'s incremental path verbatim —
-        keep the two in lockstep — with one extra elision: mitigation
-        stability state is only consulted when some bank actually needs
-        re-examination (dirty, or an expiry has come due).
+        One step touches only (a) banks dirtied since the last step,
+        (b) banks whose verdict horizon passed, and (c) banks that are
+        *ready* — everything else is covered by three exact class
+        minima.  A bank's wake decomposes as max(bank-local time, shared
+        scalar) where the shared scalar (data-bus occupancy for hits,
+        rank tRRD/tFAW for ACTs) is class-wide, so min-over-banks =
+        max(class min-heap top, shared scalar), and a bank is ready iff
+        its local time AND the shared scalar have both come due — the
+        ready set is a heap prefix.  Heap items are lazy: an item is
+        dead when its entry is no longer the bank's cached one; dead
+        tops pop on sight, so a live top is the exact class minimum.
         """
         if not isinstance(requests, RequestQueue) or len(device.ranks) != 1:
             return None
@@ -640,6 +352,11 @@ class FrFcfsPolicy(SchedulingPolicy):
             best_row_row = -1
             rank_t = -1.0  # lazy: rank ACT readiness at most once per step
 
+            # 1. Re-examine dirtied banks; 2. re-examine banks whose
+            # verdict horizon has passed.  Fresh entries go to the cache
+            # and heaps; uncacheable decisions (horizon already passed —
+            # mechanisms declaring no stability) are kept aside for
+            # inline evaluation and the bank stays dirty.
             uncached = None
             if dirty or (expiry_heap and expiry_heap[0][0] <= now):
                 stable = NEVER if never_blocks else mitigation.act_block_stable
@@ -656,6 +373,10 @@ class FrFcfsPolicy(SchedulingPolicy):
                             act_allowed_at, stable, False,
                         )
                         if entry[4] > now:
+                            # Store + heap registration, inlined again in
+                            # the expiry drain below: this is the
+                            # innermost hot loop and a per-bank helper
+                            # call is measurable.
                             cache[key] = entry
                             heap_seq += 1
                             item = (entry[6], heap_seq, key, entry)
@@ -712,6 +433,9 @@ class FrFcfsPolicy(SchedulingPolicy):
                         uncached.append(entry)
                 requests.heap_seq = heap_seq
 
+            # 3. Inline evaluation of uncacheable bank decisions (their
+            # banks stay dirty, so every step re-queries — exactly the
+            # naive behaviour such mechanisms get).
             if uncached is not None:
                 for entry in uncached:
                     tag = entry[0]
@@ -753,6 +477,16 @@ class FrFcfsPolicy(SchedulingPolicy):
                         best_row_kind = entry[2]
                         best_row_row = entry[3]
 
+            # 4. Ready candidates and exact wakes from the class heaps.
+            # Heaps only ever hold cached entries, so every minimum
+            # below is exact.  A bank-local time never un-passes, so an
+            # entry migrates from the local-time wake heap to the
+            # class's arrival-ordered ready heap exactly once; the
+            # FR-FCFS winner is then the live ready-heap top (the oldest
+            # locally-ready candidate), and a gated class's wake needs
+            # no per-item scan: with any locally-ready item the shared
+            # scalar is the binding constraint, without one it is
+            # max(shared, oldest local time).
             # --- hits (shared scalar: data-bus occupancy) ---
             while hit_heap:
                 item = hit_heap[0]
@@ -770,6 +504,9 @@ class FrFcfsPolicy(SchedulingPolicy):
                 req = ready_hits[0][2][1]
                 bus = wr_bus_ready if req.is_write else rd_bus_ready
                 if bus > now:
+                    # Bus not free: no hit is ready anywhere, and some
+                    # bank's column timing has already passed, so the
+                    # bus is the binding constraint.
                     if bus < next_ready:
                         next_ready = bus
                 else:
@@ -796,6 +533,9 @@ class FrFcfsPolicy(SchedulingPolicy):
                     break
                 heap_pop(act_heap)
                 entry = item[3]
+                # A live _IDLE entry cannot come due (its expiry
+                # precedes its wake), so migrating entries are _ROW
+                # deciders.
                 heap_push(ready_acts, (entry[1].queue_seq, item[2], entry))
             while ready_acts and cache_get(ready_acts[0][1]) is not ready_acts[0][2]:
                 heap_pop(ready_acts)
@@ -805,6 +545,7 @@ class FrFcfsPolicy(SchedulingPolicy):
                     if rank_t < now:
                         rank_t = now
                 if rank_t > now:
+                    # Rank ACT budget exhausted: it alone gates the class.
                     if rank_t < next_ready:
                         next_ready = rank_t
                 else:
@@ -854,6 +595,7 @@ class FrFcfsPolicy(SchedulingPolicy):
                 if t < next_ready:
                     next_ready = t
 
+            # Column commands (row-buffer hits) always outrank row commands.
             if best_hit is not None:
                 req = best_hit
                 kind = WR if req.is_write else RD
@@ -875,8 +617,8 @@ class FrFcfsPolicy(SchedulingPolicy):
     ) -> Selection:
         """Every-bank scan over the same cache (refresh windows and
         multi-rank devices).  Produces the identical Selection the
-        incremental path would: same entries, same candidate rules,
-        same Selection-contract wakes."""
+        fused path would: same entries, same candidate rules, same
+        Selection-contract wakes."""
         by_bank = requests.by_bank
         cache = requests.bank_cache
         cache_get = cache.get

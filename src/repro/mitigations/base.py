@@ -2,7 +2,7 @@
 
 Every RowHammer mitigation mechanism in this repository implements
 :class:`MitigationMechanism`.  The memory controller interacts with a
-mechanism through four hooks:
+mechanism through five hooks:
 
 * :meth:`~MitigationMechanism.act_allowed_at` — proactive throttling:
   the earliest time an ACT to (rank, bank, row) may issue.  Most
@@ -17,6 +17,9 @@ mechanism through four hooks:
   challenge BlockHammer avoids.
 * :meth:`~MitigationMechanism.max_inflight` — source throttling quota per
   <thread, bank> (AttackThrottler, Section 3.2.2).
+* :meth:`~MitigationMechanism.advance_to` — the one time hook: advance
+  time-driven state (epoch rotations, window resets, periodic
+  refreshes) and report when it next changes by time alone.
 
 Mechanisms receive a :class:`MitigationContext` at attach time with the
 DRAM spec, thread count, a deterministic RNG, and the adjacency oracle.
@@ -116,17 +119,6 @@ class MitigationMechanism:
         # forever: the incremental FR-FCFS policy checks this flag once
         # per step and caches bank decisions until the bank is dirtied.
         self.never_blocks = type(self).act_allowed_at is MitigationMechanism.act_allowed_at
-        # Mechanisms that inherit the base (no-op) on_time_advance have
-        # no time-driven state at all: their default quiescence horizon
-        # is "never".  A subclass that overrides on_time_advance without
-        # also overriding advance_to falls back to the conservative
-        # horizon (-inf), which makes the controller call advance_to on
-        # every scheduling step — the legacy per-step cadence.
-        self._default_horizon = (
-            _FOREVER
-            if type(self).on_time_advance is MitigationMechanism.on_time_advance
-            else -_FOREVER
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -144,9 +136,6 @@ class MitigationMechanism:
         if self.context is not None:
             self.obs_track = self.context.channel
 
-    def on_time_advance(self, now: float) -> None:
-        """Periodic maintenance hook, called once per controller step."""
-
     def advance_to(self, now: float) -> float:
         """Advance time-driven state to ``now`` and return the
         **quiescence horizon**: the next instant at which this
@@ -162,12 +151,12 @@ class MitigationMechanism:
         steps, and re-invokes it at the first step at or past the
         horizon.  Horizons may be conservative (early) but never late.
 
-        The default advances via :meth:`on_time_advance` and returns
-        +inf for mechanisms with no time-driven state; subclasses with
-        periodic state override this to report their next deadline.
+        The default has no time-driven state and returns +inf.
+        Subclasses with periodic state override this to report their
+        next deadline; one that wants a call on every scheduling step
+        returns -inf.
         """
-        self.on_time_advance(now)
-        return self._default_horizon
+        return _FOREVER
 
     # ------------------------------------------------------------------
     # Proactive throttling.
@@ -250,9 +239,9 @@ class MitigationMechanism:
         Duck-typed on what the mechanism actually tracks —
         ``thread_max_rhli`` (RHLI), ``throttler`` (blacklist events),
         ``delay_stats`` (RowBlocker delay counters) — so mechanisms
-        without those report ``None``/zero rather than raising.  The
-        cadence contract matches ``on_time_advance``: counters are
-        cumulative over the run, RHLI reflects the current epoch.
+        without those report ``None``/zero rather than raising.  Counters
+        are cumulative over the run; RHLI reflects the epoch of the
+        latest :meth:`advance_to`.
         """
         rhli = None
         if hasattr(self, "thread_max_rhli"):

@@ -89,14 +89,11 @@ class CounterBasedTree(MitigationMechanism):
             self._counters_used[key] = 1
         return self._roots[key]
 
-    def on_time_advance(self, now: float) -> None:
+    def advance_to(self, now: float) -> float:
         while now >= self._next_reset:
             self._roots.clear()
             self._counters_used.clear()
             self._next_reset += self.context.spec.tREFW
-
-    def advance_to(self, now: float) -> float:
-        self.on_time_advance(now)
         return self._next_reset
 
     def on_activate(self, rank: int, bank: int, row: int, thread: int, now: float) -> None:

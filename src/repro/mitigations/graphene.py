@@ -63,14 +63,11 @@ class Graphene(MitigationMechanism):
         self._next_reset = spec.tREFW
 
     # ------------------------------------------------------------------
-    def on_time_advance(self, now: float) -> None:
+    def advance_to(self, now: float) -> float:
         while now >= self._next_reset:
             self._tables.clear()
             self._spill.clear()
             self._next_reset += self.context.spec.tREFW
-
-    def advance_to(self, now: float) -> float:
-        self.on_time_advance(now)
         return self._next_reset
 
     def on_activate(self, rank: int, bank: int, row: int, thread: int, now: float) -> None:

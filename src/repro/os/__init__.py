@@ -21,7 +21,7 @@ The governor runs in two deployments: **system-level** (attached to a
 :class:`~repro.sim.system.System`, reviewed from the event loop, acting
 on cores) and **mechanism-coupled** (embedded in
 :class:`~repro.core.os_policy.BlockHammerWithOsPolicy`, reviewed from
-the mechanism's ``on_time_advance``, one instance per channel — the
+the mechanism's ``advance_to`` hook, one instance per channel — the
 original ``blockhammer-os`` semantics, bit-identical).  Disabled (the
 default) it costs nothing: no events are scheduled and no hooks fire.
 """

@@ -95,12 +95,3 @@ class SimResult:
     @property
     def total_bitflips(self) -> int:
         return len(self.bitflips)
-
-    def thread_ipc(self, thread: int) -> float:
-        return self.threads[thread].ipc
-
-    def benign_ipcs(self, attacker_threads: set[int]) -> dict[int, float]:
-        """IPC of every thread not in ``attacker_threads``."""
-        return {
-            t.thread: t.ipc for t in self.threads if t.thread not in attacker_threads
-        }

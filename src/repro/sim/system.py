@@ -185,7 +185,6 @@ class System:
             mem_probe = obs.probe("mem")
             for controller in self.controllers:
                 controller.probe = mem_probe
-                controller.policy.probe = mem_probe
             mitigation_probe = obs.probe("mitigation")
             for mitigation in self.memsys.mitigations:
                 mitigation.bind_probe(mitigation_probe)

@@ -171,3 +171,33 @@ def test_vref_events_match_victim_refreshes():
         bus.trace.count("mem", "vref", measured_only=True)
         == result.victim_refreshes
     )
+
+
+@pytest.mark.obs_smoke
+def test_full_scan_events_land_on_their_channel_track():
+    """One scheduling policy object serves every channel's controller,
+    so ``sched_full_scan`` events (selects during refresh-drain windows)
+    must carry the issuing controller's channel as their track."""
+    mix = attack_mixes(1)[0]
+    hcfg = dataclasses.replace(HCFG, num_channels=2)
+    bus = TelemetryBus(ObsConfig(trace=True, trace_commands=False))
+    spec = hcfg.spec()
+    traces = mix.build_traces(spec, hcfg.mapping(), seed=hcfg.seed)
+    targets = [
+        None if slot in mix.attacker_threads else hcfg.instructions_per_thread
+        for slot in range(len(traces))
+    ]
+    system = System(
+        hcfg.system_config(),
+        traces,
+        mitigation_factory=lambda: build_mitigation(MECHANISM),
+        obs=bus,
+    )
+    assert len(system.controllers) == 2
+    system.run(instructions_per_thread=targets, warmup_ns=hcfg.warmup_ns)
+    tracks = {
+        event[3]
+        for event in bus.trace.events
+        if event[1] == "mem" and event[2] == "sched_full_scan"
+    }
+    assert tracks == {0, 1}

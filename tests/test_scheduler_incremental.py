@@ -68,8 +68,10 @@ class EpochBlocker(MitigationMechanism):
 
     _stable = 0.0
 
-    def on_time_advance(self, now: float) -> None:
+    def advance_to(self, now: float) -> float:
         self._stable = (self._epoch(now) + 1) * self.epoch_ns
+        # Per-step cadence: the controller re-advances on every step.
+        return float("-inf")
 
     def _blocked(self, bank: int, row: int, now: float) -> bool:
         rng = DeterministicRng(self._epoch(now)).fork(f"b{bank}-r{row}")
@@ -159,7 +161,7 @@ def test_refresh_dirties_the_whole_rank(small_spec, device):
 # ----------------------------------------------------------------------
 def test_epoch_rotation_expires_cached_verdict_entries(device):
     mech = EpochBlocker(epoch_ns=50.0, block_fraction=1.0)  # block everything
-    mech.on_time_advance(0.0)
+    mech.advance_to(0.0)
     queue = RequestQueue(16)
     queue.push(make_request(bank=0, row=3))
     policy = FrFcfsPolicy()
@@ -173,7 +175,7 @@ def test_epoch_rotation_expires_cached_verdict_entries(device):
     policy.select(queue, device, mech, 10.0, NO_BLOCK)
     assert mech.queries == queries_before
     # Past the boundary the entry is expired: the bank is re-walked.
-    mech.on_time_advance(60.0)
+    mech.advance_to(60.0)
     policy.select(queue, device, mech, 60.0, NO_BLOCK)
     assert mech.queries > queries_before
 
@@ -224,7 +226,7 @@ def test_random_workout_never_leaves_a_stale_live_entry(small_spec, device):
     entry against the oracle.  Entries past their expiry instant are
     exempt: the policy re-walks them before trusting them."""
     mech = EpochBlocker(epoch_ns=40.0, block_fraction=0.4)
-    mech.on_time_advance(0.0)
+    mech.advance_to(0.0)
     controller = MemoryController(small_spec, device, mitigation=mech)
     rng = DeterministicRng(99).fork("workout")
     now = 0.0
@@ -265,7 +267,7 @@ def test_multi_rank_scan_mode_does_not_grow_heaps(small_spec):
     spec2 = replace(small_spec, ranks=2)
     device2 = DramDevice(spec2)
     mech = EpochBlocker(epoch_ns=40.0, block_fraction=0.3)
-    mech.on_time_advance(0.0)
+    mech.advance_to(0.0)
     controller = MemoryController(spec2, device2, mitigation=mech)
     rng = DeterministicRng(7).fork("multirank")
     now = 0.0
