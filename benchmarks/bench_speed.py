@@ -87,12 +87,13 @@ def provenance() -> dict:
     }
 
 
-def measure_sweep(num_mixes: int, workers: int, cache=None):
-    """(elapsed seconds, rows) for the canonical Fig. 5 sweep."""
+def measure_sweep(num_mixes: int, **execution):
+    """(elapsed seconds, rows) for the canonical Fig. 5 sweep;
+    ``execution`` is forwarded to ``run_jobs``."""
     from repro.harness.experiments import fig5_multicore
 
     start = time.perf_counter()
-    rows = fig5_multicore(_hcfg(), num_mixes, None, workers=workers, cache=cache)
+    rows = fig5_multicore(_hcfg(), num_mixes, None, **execution)
     return time.perf_counter() - start, rows
 
 
@@ -103,16 +104,18 @@ def measure_cached_rerun(num_mixes: int, reference_rows):
     import shutil
     import tempfile
 
-    from repro.harness import parallel
     from repro.harness.cache import ResultCache
+    from repro.harness.parallel import SweepReport
 
     cache_dir = tempfile.mkdtemp(prefix="bench-repro-cache-")
     try:
         cache = ResultCache(cache_dir)
         cold_s, cold_rows = measure_sweep(num_mixes, workers=1, cache=cache)
-        executed_before = parallel.job_executions()
-        warm_s, warm_rows = measure_sweep(num_mixes, workers=1, cache=cache)
-        warm_sims = parallel.job_executions() - executed_before
+        warm = SweepReport()
+        warm_s, warm_rows = measure_sweep(
+            num_mixes, workers=1, cache=cache, report=warm
+        )
+        warm_sims = warm.executed
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
     # warm_s stays unrounded so speedup ratios are computed from the
@@ -132,9 +135,9 @@ def measure_channel_sweep(channel_counts=(1, 2, 4)):
     import shutil
     import tempfile
 
-    from repro.harness import parallel
     from repro.harness.cache import ResultCache
     from repro.harness.experiments import channel_scaling
+    from repro.harness.parallel import SweepReport
 
     cache_dir = tempfile.mkdtemp(prefix="bench-repro-chansweep-")
     kwargs = dict(
@@ -148,11 +151,11 @@ def measure_channel_sweep(channel_counts=(1, 2, 4)):
         start = time.perf_counter()
         cold = channel_scaling(_hcfg(), cache=cache, **kwargs)
         cold_s = time.perf_counter() - start
-        executed_before = parallel.job_executions()
+        report = SweepReport()
         start = time.perf_counter()
-        warm = channel_scaling(_hcfg(), cache=cache, **kwargs)
+        warm = channel_scaling(_hcfg(), cache=cache, report=report, **kwargs)
         warm_s = time.perf_counter() - start
-        warm_sims = parallel.job_executions() - executed_before
+        warm_sims = report.executed
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
     return {
@@ -281,14 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     print(f"canonical fig5 sweep: {args.mixes} mixes/scenario, all paper mechanisms")
-    # cache=False: the timed sweeps must measure simulations even when
-    # the user has REPRO_CACHE exported; only measure_cached_rerun
-    # (throwaway directory) exercises the cache path.
-    serial_s, serial_rows = measure_sweep(args.mixes, workers=1, cache=False)
+    serial_s, serial_rows = measure_sweep(args.mixes, workers=1)
     print(f"  serial      : {serial_s:7.2f} s ({len(serial_rows)} rows)")
-    parallel_s, parallel_rows = measure_sweep(
-        args.mixes, workers=args.workers, cache=False
-    )
+    parallel_s, parallel_rows = measure_sweep(args.mixes, workers=args.workers)
     print(f"  {args.workers} workers   : {parallel_s:7.2f} s")
     identical = serial_rows == parallel_rows
     print(f"  identical rows: {identical}")

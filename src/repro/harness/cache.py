@@ -12,15 +12,11 @@ exactly (``repr`` shortest-round-trip encoding).
 Invalidation is automatic and conservative: the fingerprint hashes every
 ``repro`` source file, so *any* simulator change misses the whole cache.
 Manual invalidation is ``rm -rf .repro_cache/`` (or pointing
-``--cache-dir`` / ``REPRO_CACHE`` somewhere fresh).
+``--cache-dir`` somewhere fresh).
 
-Activation (see :func:`resolve_cache`):
-
-* programmatic — pass a :class:`ResultCache` (or ``True``) to
-  ``run_jobs``/the experiment drivers;
-* CLI — ``--cache`` / ``--cache-dir DIR`` / ``--no-cache``;
-* environment — ``REPRO_CACHE=1`` (default directory), ``REPRO_CACHE=DIR``
-  (explicit directory), ``REPRO_CACHE=0``/unset (off).
+The cache is off unless a :class:`ResultCache` is passed to
+``run_jobs``/the experiment drivers; the CLI builds one for
+``--cache`` / ``--cache-dir DIR`` / ``--cache-max-entries N``.
 """
 
 from __future__ import annotations
@@ -37,9 +33,6 @@ from repro.dram.rowhammer import BitFlip
 from repro.energy.drampower import EnergyBreakdown
 from repro.mem.controller import ThreadMemStats
 from repro.sim.stats import ChannelResult, SimResult, ThreadResult
-
-#: Environment variable controlling cache activation (see module doc).
-CACHE_ENV = "REPRO_CACHE"
 
 #: Default on-disk location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -152,8 +145,7 @@ class ResultCache:
     the cap are deleted.  Recency is file mtime — refreshed on every
     hit — so a warm working set survives while dead fingerprints and
     abandoned sweeps age out.  ``None`` (default) keeps the store
-    unbounded; the CLI exposes ``--cache-max-entries`` and the
-    ``REPRO_CACHE_MAX_ENTRIES`` environment variable.
+    unbounded; the CLI exposes ``--cache-max-entries``.
     """
 
     def __init__(
@@ -303,43 +295,3 @@ class ResultCache:
             except OSError:
                 pass
 
-
-#: Environment variable bounding the cache entry count (see
-#: ``ResultCache.max_entries``); applies whenever :func:`resolve_cache`
-#: constructs the cache itself.
-CACHE_MAX_ENV = "REPRO_CACHE_MAX_ENTRIES"
-
-
-def _env_max_entries() -> int | None:
-    env = os.environ.get(CACHE_MAX_ENV, "").strip()
-    if not env:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"{CACHE_MAX_ENV} must be an integer, got {env!r}") from None
-    return value if value > 0 else None
-
-
-def resolve_cache(cache) -> ResultCache | None:
-    """Normalize a cache argument into a :class:`ResultCache` or None.
-
-    ``cache`` may be a ResultCache (used as-is), ``True`` (default
-    directory), ``False`` (explicitly off, overriding the environment),
-    or ``None`` (defer to ``REPRO_CACHE``: ``1`` → default directory, a
-    path → that directory, ``0``/empty/unset → off).  Whenever this
-    function builds the cache itself, ``REPRO_CACHE_MAX_ENTRIES`` sets
-    the LRU entry cap.
-    """
-    if isinstance(cache, ResultCache):
-        return cache
-    if cache is True:
-        return ResultCache(DEFAULT_CACHE_DIR, max_entries=_env_max_entries())
-    if cache is False:
-        return None
-    env = os.environ.get(CACHE_ENV, "").strip()
-    if not env or env == "0":
-        return None
-    if env == "1":
-        return ResultCache(DEFAULT_CACHE_DIR, max_entries=_env_max_entries())
-    return ResultCache(env, max_entries=_env_max_entries())

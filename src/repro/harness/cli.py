@@ -17,18 +17,12 @@ benchmarks under ``benchmarks/`` run the same drivers with assertions.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.core.config import BlockHammerConfig
-from repro.harness import experiments, parallel
-from repro.harness.cache import (
-    CACHE_ENV,
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    _env_max_entries,
-    resolve_cache,
-)
+from repro.harness import experiments
+from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.harness.parallel import SweepReport
 from repro.harness.reporting import (
     format_attribution,
     format_channel_summary,
@@ -37,12 +31,7 @@ from repro.harness.reporting import (
     format_table,
     round_or_none,
 )
-from repro.harness.retry import (
-    JOB_TIMEOUT_ENV,
-    ON_ERROR_ENV,
-    ON_ERROR_MODES,
-    RETRIES_ENV,
-)
+from repro.harness.retry import DEFAULT_RETRIES, ON_ERROR_MODES, ExecPolicy
 from repro.harness.runner import HarnessConfig
 from repro.hwcost.mechanisms import table4_rows
 from repro.obs.profile import format_profile_breakdown, write_report_json
@@ -60,38 +49,34 @@ def _hcfg(args) -> HarnessConfig:
     )
 
 
-def _cache(args):
-    """The cache argument for the experiment drivers: an explicit flag
-    wins; otherwise None defers to the REPRO_CACHE environment.  An
-    entry cap (``--cache-max-entries`` / REPRO_CACHE_MAX_ENTRIES) rides
-    along on whichever cache is chosen — the flag never changes *which*
-    directory serves the cache (``REPRO_CACHE=<path>`` plus a CLI cap
-    still hits the environment's warm store, parsed by the one grammar
-    in ``resolve_cache``) and never overrides an explicit
-    ``REPRO_CACHE=0`` opt-out (only ``--cache``/``--cache-dir`` do)."""
-    if args.no_cache:
-        return False
-    max_entries = args.cache_max_entries
-    if args.cache_dir:
-        if max_entries is None:
-            max_entries = _env_max_entries()
-        return ResultCache(args.cache_dir, max_entries=max_entries)
-    if max_entries is None:
-        return True if args.cache else None
-    resolved = resolve_cache(None)  # environment-selected cache, if any
-    if resolved is not None:
-        return ResultCache(resolved.root, max_entries=max_entries)
-    if not args.cache and os.environ.get(CACHE_ENV, "").strip() == "0":
-        return None  # explicit environment opt-out wins over the cap
-    return ResultCache(DEFAULT_CACHE_DIR, max_entries=max_entries)
+def _execution(args, report: SweepReport) -> dict:
+    """The ``run_jobs`` keywords every sweep command forwards to its
+    driver: one policy, the result cache when a cache flag is given,
+    and the caller's report."""
+    cache = None
+    if args.cache or args.cache_dir or args.cache_max_entries is not None:
+        cache = ResultCache(
+            args.cache_dir or DEFAULT_CACHE_DIR, max_entries=args.cache_max_entries
+        )
+    return {
+        "workers": args.workers,
+        "cache": cache,
+        "policy": ExecPolicy(
+            attempts=args.retries + 1,
+            job_timeout_s=args.job_timeout,
+            on_error=args.on_error,
+        ),
+        "report": report,
+        "progress": args.progress,
+    }
 
 
-def cmd_table1(args) -> str:
+def cmd_table1(args, execution) -> str:
     cfg = BlockHammerConfig.for_nrh(args.nrh)
     return format_table(["parameter", "value"], list(cfg.summary().items()))
 
 
-def cmd_security(args) -> str:
+def cmd_security(args, execution) -> str:
     rows = []
     for nrh in (32768, 16384, 8192, 4096, 2048, 1024):
         proof = prove_safety(BlockHammerConfig.for_nrh(nrh))
@@ -107,7 +92,7 @@ def cmd_security(args) -> str:
     return format_table(["NRH", "NRH*", "LP max", "window bound", "verdict"], rows)
 
 
-def cmd_table4(args) -> str:
+def cmd_table4(args, execution) -> str:
     rows = [
         [
             c.name,
@@ -125,9 +110,9 @@ def cmd_table4(args) -> str:
     )
 
 
-def cmd_fig4(args) -> str:
+def cmd_fig4(args, execution) -> str:
     rows = experiments.fig4_singlecore(
-        _hcfg(args), args.apps, workers=args.workers, cache=_cache(args)
+        _hcfg(args), args.apps, args.mechanisms, **execution
     )
     means = experiments.fig4_group_means(rows)
     return format_table(
@@ -144,13 +129,12 @@ def cmd_fig4(args) -> str:
     )
 
 
-def cmd_fig5(args) -> str:
+def cmd_fig5(args, execution) -> str:
     rows = experiments.fig5_multicore(
         _hcfg(args),
         num_mixes=args.mixes,
         mechanisms=args.mechanisms,
-        workers=args.workers,
-        cache=_cache(args),
+        **execution,
     )
     summary = experiments.summarize_mix_rows(rows)
     return format_table(
@@ -170,10 +154,8 @@ def cmd_fig5(args) -> str:
     )
 
 
-def cmd_rhli(args) -> str:
-    rows = experiments.rhli_experiment(
-        _hcfg(args), num_mixes=args.mixes, workers=args.workers, cache=_cache(args)
-    )
+def cmd_rhli(args, execution) -> str:
+    rows = experiments.rhli_experiment(_hcfg(args), num_mixes=args.mixes, **execution)
 
     return format_table(
         ["mode", "attacker mean", "attacker max", "benign max"],
@@ -189,7 +171,7 @@ def cmd_rhli(args) -> str:
     )
 
 
-def cmd_chansweep(args) -> str:
+def cmd_chansweep(args, execution) -> str:
     """Channel-scaling study: fig5-style sweep at each channel count,
     plus per-channel attribution rows."""
     data = experiments.channel_scaling(
@@ -197,9 +179,8 @@ def cmd_chansweep(args) -> str:
         channel_counts=tuple(args.channel_sweep),
         num_mixes=args.mixes,
         mechanisms=args.mechanisms,
-        workers=args.workers,
-        cache=_cache(args),
         include_pinned=args.pinned,
+        **execution,
     )
     return "\n".join(
         [
@@ -211,7 +192,7 @@ def cmd_chansweep(args) -> str:
     )
 
 
-def cmd_ossweep(args) -> str:
+def cmd_ossweep(args, execution) -> str:
     """OS governor policy comparison: {no-governor, kill, quota,
     migrate} × mechanisms over attack mixes, with benign slowdown
     (vs the ungoverned run) and attacker RHLI per policy."""
@@ -227,16 +208,13 @@ def cmd_ossweep(args) -> str:
         num_mixes=args.mixes,
         mechanisms=args.mechanisms,
         policies=args.policies,
-        workers=args.workers,
-        cache=_cache(args),
+        **execution,
     )
     return format_os_policy(rows)
 
 
-def cmd_table8(args) -> str:
-    rows = experiments.table8_calibration(
-        _hcfg(args), args.apps, workers=args.workers, cache=_cache(args)
-    )
+def cmd_table8(args, execution) -> str:
+    rows = experiments.table8_calibration(_hcfg(args), args.apps, **execution)
     return format_table(
         ["app", "cat", "MPKI target", "MPKI", "RBCPKI target", "RBCPKI"],
         [
@@ -253,7 +231,7 @@ def cmd_table8(args) -> str:
     )
 
 
-def cmd_trace(args) -> str:
+def cmd_trace(args, execution) -> str:
     """Run one attack-mix scenario with tracing and epoch metrics on,
     writing a Perfetto ``trace_event`` JSON and a tidy metrics CSV."""
     from repro.harness.runner import Runner
@@ -323,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="simulation worker processes (default: REPRO_WORKERS or serial)",
+        help="simulation worker processes (default: serial)",
     )
     parser.add_argument(
         "--channels",
@@ -345,9 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_mitigations(),
         metavar="MECHANISM",
         default=None,
-        help="mechanism subset for the chansweep/ossweep commands "
-        "(default: all paper mechanisms for chansweep, "
-        "blockhammer+naive-throttle for ossweep; known: "
+        help="mechanism subset for the fig4/fig5/chansweep/ossweep sweeps; "
+        "trace runs the first one (default: all paper mechanisms for the "
+        "figure sweeps, blockhammer+blockhammer-observe for ossweep, "
+        "blockhammer for trace; known: "
         f"{', '.join(available_mitigations())})",
     )
     parser.add_argument(
@@ -368,12 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache",
         action="store_true",
-        help="reuse cached results from .repro_cache/ (also REPRO_CACHE=1)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="force the result cache off, overriding REPRO_CACHE",
+        help=f"reuse cached results from {DEFAULT_CACHE_DIR}/",
     )
     parser.add_argument(
         "--cache-dir",
@@ -385,16 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="LRU cap on stored cache entries; oldest-used entries beyond "
-        "the cap are evicted after each store (implies --cache; also "
-        "REPRO_CACHE_MAX_ENTRIES)",
+        "the cap are evicted after each store (implies --cache)",
     )
     parser.add_argument(
         "--retries",
         type=_non_negative_int,
-        default=None,
+        default=DEFAULT_RETRIES,
         help="retries per job after the first attempt, with bounded "
         "exponential backoff; retried jobs are bit-identical "
-        "(default: REPRO_RETRIES or 2)",
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--job-timeout",
@@ -402,17 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-job wall-clock timeout on the pool path: the worker is "
-        "killed and the job re-enters the retry ladder "
-        "(default: REPRO_JOB_TIMEOUT or none)",
+        "killed and the job re-enters the retry ladder (default: none)",
     )
     parser.add_argument(
         "--on-error",
         choices=ON_ERROR_MODES,
-        default=None,
+        default="raise",
         help="disposition for jobs that exhaust their retries: 'raise' "
         "aborts the sweep (completed jobs stay checkpointed in the "
-        "cache), 'skip' renders them as '-' rows "
-        "(default: REPRO_ON_ERROR or raise)",
+        "cache), 'skip' renders them as '-' rows (default: %(default)s)",
     )
     parser.add_argument(
         "--trace-out",
@@ -450,24 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream one line per completed/cached/failed job to stderr "
         "and print the sweep report (jobs, retries, timeouts, crashes, "
-        "failures) when the command finishes (also REPRO_PROGRESS=1)",
+        "failures) when the command finishes",
     )
     return parser
-
-
-def _apply_exec_env(args) -> None:
-    """Thread the execution-policy flags to the drivers via their
-    ``REPRO_*`` environment variables (one grammar — the same one
-    ``resolve_policy`` reads — so explicit flags win over the inherited
-    environment without widening every driver signature)."""
-    if args.retries is not None:
-        os.environ[RETRIES_ENV] = str(args.retries)
-    if args.job_timeout is not None:
-        os.environ[JOB_TIMEOUT_ENV] = str(args.job_timeout)
-    if args.on_error is not None:
-        os.environ[ON_ERROR_ENV] = args.on_error
-    if args.progress:
-        os.environ[parallel.PROGRESS_ENV] = "1"
 
 
 def _positive_int(text: str) -> int:
@@ -507,19 +463,15 @@ def _channel_list(text: str) -> list[int]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_exec_env(args)
-    # The last-report slot is module-global; clear it so a report left by
-    # an earlier sweep in this process never masquerades as this run's.
-    parallel.reset_last_report()
-    print(_COMMANDS[args.command](args))
-    report = parallel.last_report()
-    if args.progress and report is not None:
+    report = SweepReport()  # total == 0 afterwards: no sweep ran
+    print(_COMMANDS[args.command](args, _execution(args, report)))
+    if args.progress and report.total:
         print(format_sweep_report(report), file=sys.stderr)
         breakdown = format_profile_breakdown(report)
         if breakdown:
             print(breakdown, file=sys.stderr)
     if args.report_json:
-        if report is not None:
+        if report.total:
             write_report_json(report, args.report_json)
         else:
             print(

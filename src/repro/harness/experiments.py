@@ -11,7 +11,9 @@ Every sweep driver follows the same three-stage shape on top of
    the shared baseline and alone-IPC runs, which are deduplicated by
    job key so they execute once and serve every mechanism/scenario);
 2. **execute** — :func:`~repro.harness.parallel.run_jobs`, serially or
-   over a process pool (``workers`` argument / ``REPRO_WORKERS``);
+   over a process pool; each driver forwards its ``**execution``
+   keywords (``workers``, ``cache``, ``policy``, ``report``, …) to it
+   unchanged;
 3. **assemble rows** — walk the declared structure and build rows from
    the keyed results, so row order and content are independent of how
    (and in what order) the jobs ran.
@@ -81,13 +83,12 @@ def fig4_singlecore(
     hcfg: HarnessConfig,
     app_names: list[str] | None = None,
     mechanisms: list[str] | None = None,
-    workers: int | None = None,
-    cache=None,
+    **execution,
 ) -> list[dict]:
     """Rows: app, category, mechanism, norm_time, norm_energy."""
     mechanisms = mechanisms or PAPER_MECHANISMS
     apps = app_names or [p.name for p in TABLE8_PROFILES]
-    results = run_jobs(fig4_jobs(hcfg, apps, mechanisms), workers, cache=cache)
+    results = run_jobs(fig4_jobs(hcfg, apps, mechanisms), **execution)
     rows = []
     for app in apps:
         profile = next(p for p in TABLE8_PROFILES if p.name == app)
@@ -293,8 +294,7 @@ def fig5_multicore(
     hcfg: HarnessConfig,
     num_mixes: int = 3,
     mechanisms: list[str] | None = None,
-    workers: int | None = None,
-    cache=None,
+    **execution,
 ) -> list[MixOutcomeRow]:
     """Both Figure 5 scenarios over ``num_mixes`` mixes each.
 
@@ -308,7 +308,7 @@ def fig5_multicore(
     jobs = mix_sweep_jobs(hcfg, benign, mechanisms) + mix_sweep_jobs(
         hcfg, attack, mechanisms
     )
-    results = run_jobs(jobs, workers, cache=cache)
+    results = run_jobs(jobs, **execution)
     rows = assemble_mix_rows(hcfg, benign, mechanisms, "no-attack", results)
     rows += assemble_mix_rows(hcfg, attack, mechanisms, "attack", results)
     return rows
@@ -490,9 +490,8 @@ def channel_scaling(
     channel_counts: tuple[int, ...] = (1, 2, 4),
     num_mixes: int = 1,
     mechanisms: list[str] | None = None,
-    workers: int | None = None,
-    cache=None,
     include_pinned: bool = False,
+    **execution,
 ) -> dict:
     """The channel-scaling study: the Figure 5 sweep repeated at each
     channel count (ABACuS-style scaling axis), with per-channel
@@ -527,7 +526,7 @@ def channel_scaling(
             ("pinned", [m.pinned() for m in benign], [m.pinned() for m in attack])
         )
     jobs = channel_scaling_jobs(hcfg, tuple(channel_counts), layouts, mechanisms)
-    results = run_jobs(jobs, workers, cache=cache)
+    results = run_jobs(jobs, **execution)
 
     summary: list[dict] = []
     attribution: list[dict] = []
@@ -618,8 +617,7 @@ def os_policy_sweep(
     num_mixes: int = 1,
     mechanisms: list[str] | None = None,
     policies: list[str] | None = None,
-    workers: int | None = None,
-    cache=None,
+    **execution,
 ) -> list[dict]:
     """Compare OS governor policies over attack mixes.
 
@@ -646,7 +644,7 @@ def os_policy_sweep(
         )
     mixes = attack_mixes(num_mixes)
     jobs = os_sweep_jobs(hcfg, mixes, mechanisms, policies)
-    results = run_jobs(jobs, workers, cache=cache)
+    results = run_jobs(jobs, **execution)
     rows = []
     for mix in mixes:
         attackers = sorted(mix.attacker_threads)
@@ -732,8 +730,7 @@ def fig6_scaling(
     paper_nrh_values: list[int],
     num_mixes: int = 2,
     mechanisms: list[str] | None = None,
-    workers: int | None = None,
-    cache=None,
+    **execution,
 ) -> list[dict]:
     """Figure 6: normalized metrics vs NRH, both scenarios.
 
@@ -749,7 +746,7 @@ def fig6_scaling(
     for _, nrh_cfg in points:
         jobs += mix_sweep_jobs(nrh_cfg, benign, mechanisms)
         jobs += mix_sweep_jobs(nrh_cfg, attack, mechanisms)
-    results = run_jobs(jobs, workers, cache=cache)
+    results = run_jobs(jobs, **execution)
     out = []
     for paper_nrh, nrh_cfg in points:
         rows = assemble_mix_rows(nrh_cfg, benign, mechanisms, "no-attack", results)
@@ -766,9 +763,8 @@ def fig6_scaling(
 def rhli_experiment(
     hcfg: HarnessConfig,
     num_mixes: int = 2,
-    workers: int | None = None,
-    cache=None,
     mixes: list[WorkloadMix] | None = None,
+    **execution,
 ) -> list[dict]:
     """RHLI statistics in observe-only and full-functional modes.
 
@@ -784,7 +780,7 @@ def rhli_experiment(
         for mode in modes
         for mix in mixes
     ]
-    results = run_jobs(jobs, workers, cache=cache)
+    results = run_jobs(jobs, **execution)
     rows = []
     for mode in modes:
         attacker_rhli = []
@@ -817,8 +813,7 @@ def rhli_experiment(
 def sec84_internals(
     hcfg: HarnessConfig,
     num_mixes: int = 2,
-    workers: int | None = None,
-    cache=None,
+    **execution,
 ) -> dict:
     """BlockHammer's false-positive rate and delay percentiles over
     benign multiprogrammed workloads."""
@@ -826,7 +821,7 @@ def sec84_internals(
     jobs = [
         mix_job(hcfg, mix, "blockhammer", extract=("delay_stats",)) for mix in mixes
     ]
-    results = run_jobs(jobs, workers, cache=cache)
+    results = run_jobs(jobs, **execution)
     total_acts = 0
     fp_acts = 0
     delays: list[float] = []
@@ -862,13 +857,12 @@ def sec84_internals(
 def table8_calibration(
     hcfg: HarnessConfig,
     app_names: list[str] | None = None,
-    workers: int | None = None,
-    cache=None,
+    **execution,
 ) -> list[dict]:
     """Measured vs target MPKI/RBCPKI for the benign generator."""
     apps = app_names or [p.name for p in TABLE8_PROFILES]
     jobs = [single_job(hcfg, app, "none") for app in apps]
-    results = run_jobs(jobs, workers, cache=cache)
+    results = run_jobs(jobs, **execution)
     rows = []
     for app in apps:
         profile = next(p for p in TABLE8_PROFILES if p.name == app)

@@ -63,19 +63,15 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from repro.energy.drampower import EnergyBreakdown
-from repro.harness.cache import CACHEABLE_EXTRAS, ResultCache, resolve_cache
+from repro.harness.cache import CACHEABLE_EXTRAS, ResultCache
 from repro.harness.faults import FaultPlan, SimulatedCrash
-from repro.harness.retry import ExecPolicy, resolve_policy
+from repro.harness.retry import ExecPolicy
 from repro.harness.runner import HarnessConfig, Runner, RunOutcome
 from repro.obs.profile import JobProfile
 from repro.os.spec import GovernorSpec
 from repro.sim.stats import SimResult
 from repro.utils.aggregate import merge_fields
 from repro.workloads.mixes import DEFAULT_MIX_THREADS, WorkloadMix
-
-#: Environment variable consulted when a driver does not pass an
-#: explicit worker count.
-WORKERS_ENV = "REPRO_WORKERS"
 
 JobKey = tuple
 
@@ -278,9 +274,8 @@ class JobExecutionError(RuntimeError):
 class SweepReport:
     """Progress/failure accounting for one or more ``run_jobs`` calls.
 
-    Pass an instance via ``run_jobs(..., report=...)`` to accumulate
-    across calls; the most recent sweep's report is also available from
-    :func:`last_report`.  Render with
+    Pass an instance via ``run_jobs(..., report=...)`` to observe a
+    sweep; one instance accumulates across calls.  Render with
     :func:`repro.harness.reporting.format_sweep_report`.
     """
 
@@ -319,21 +314,8 @@ def _runner_for(hcfg: HarnessConfig) -> Runner:
     return runner
 
 
-#: Simulations actually executed in this process (cache hits do not
-#: count).  Tests and the perf smoke assert a warm-cache sweep leaves
-#: this untouched.
-JOB_EXECUTIONS = 0
-
-
-def job_executions() -> int:
-    """Simulations executed in this process so far."""
-    return JOB_EXECUTIONS
-
-
 def execute_job(job: SimJob) -> JobResult:
     """Run one job to completion (callable in any process)."""
-    global JOB_EXECUTIONS
-    JOB_EXECUTIONS += 1
     runner = _runner_for(job.hcfg)
     if job.kind == "single":
         outcome = runner.run_single(
@@ -358,23 +340,6 @@ def execute_job(job: SimJob) -> JobResult:
 # ----------------------------------------------------------------------
 # The executor.
 # ----------------------------------------------------------------------
-def resolve_workers(workers: int | None) -> int:
-    """Effective worker count: explicit argument, else ``REPRO_WORKERS``,
-    else 1 (serial)."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{WORKERS_ENV} must be an integer, got {env!r}"
-                ) from None
-        else:
-            workers = 1
-    return max(1, workers)
-
-
 def dedupe_jobs(jobs: list[SimJob]) -> list[SimJob]:
     """Unique jobs in first-occurrence order.
 
@@ -405,31 +370,6 @@ def _invoke_job(job: SimJob, attempt: int, faults: FaultPlan | None) -> JobResul
     return execute_job(job)
 
 
-#: Environment variable: any non-``0`` value streams one progress line
-#: per completed/cached/failed job to stderr (CLI ``--progress``).
-PROGRESS_ENV = "REPRO_PROGRESS"
-
-#: The report of the most recent ``run_jobs`` call in this process.
-_LAST_REPORT: SweepReport | None = None
-
-
-def last_report() -> SweepReport | None:
-    """The :class:`SweepReport` of the most recent ``run_jobs`` call."""
-    return _LAST_REPORT
-
-
-def reset_last_report() -> None:
-    """Clear the last-report slot.
-
-    ``_LAST_REPORT`` is a module global, so without a reset it leaks
-    across logical sweeps in one process: a CLI command (or test) that
-    runs no jobs would read the *previous* sweep's report and render
-    stale counts.  The CLI calls this before dispatching every command.
-    """
-    global _LAST_REPORT
-    _LAST_REPORT = None
-
-
 def _job_label(job: SimJob) -> str:
     """A short human label for progress lines (full keys embed the whole
     HarnessConfig repr)."""
@@ -437,19 +377,14 @@ def _job_label(job: SimJob) -> str:
     return f"{job.kind}:{what}:{job.mechanism}"
 
 
-def _progress_printer():
-    if os.environ.get(PROGRESS_ENV, "").strip() in ("", "0"):
-        return None
-
-    def emit(report: SweepReport, job: SimJob, status: str) -> None:
-        done = report.completed + len(report.failures)
-        print(
-            f"[{done}/{report.total}] {status:>7} {_job_label(job)}",
-            file=sys.stderr,
-            flush=True,
-        )
-
-    return emit
+def _print_progress(report: SweepReport, job: SimJob, status: str) -> None:
+    """One ``--progress`` line per completed/cached/failed job."""
+    done = report.completed + len(report.failures)
+    print(
+        f"[{done}/{report.total}] {status:>7} {_job_label(job)}",
+        file=sys.stderr,
+        flush=True,
+    )
 
 
 @lru_cache(maxsize=1)
@@ -467,59 +402,53 @@ def pool_available() -> bool:
 def run_jobs(
     jobs: list[SimJob],
     workers: int | None = None,
-    chunksize: int = 1,
-    cache: ResultCache | bool | None = None,
+    cache: ResultCache | None = None,
     policy: ExecPolicy | None = None,
     on_error: str | None = None,
     faults: FaultPlan | None = None,
     report: SweepReport | None = None,
+    progress: bool = False,
 ) -> dict[JobKey, JobResult | JobFailure]:
     """Execute ``jobs`` (deduplicated) and return results by job key.
 
-    ``workers <= 1`` runs serially in-process; ``workers > 1`` fans out
-    over a process pool, falling back to serial execution when the
-    platform cannot spawn worker processes (e.g. sandboxed CI).  Result
+    ``workers`` of ``None`` or ``<= 1`` runs serially in-process;
+    ``workers > 1`` fans out over a process pool, falling back to serial
+    execution when the platform cannot spawn worker processes (e.g.
+    sandboxed CI).  Result
     content is identical either way — each job is a self-contained
     deterministic simulation — and the returned mapping lets callers
     assemble rows in declaration order, independent of completion order.
 
-    ``cache`` activates the persistent cross-sweep result cache (see
-    :mod:`repro.harness.cache`): pass a :class:`ResultCache`, ``True``
-    for the default directory, ``False`` to force it off, or ``None`` to
-    defer to the ``REPRO_CACHE`` environment variable.  Cached jobs are
-    resolved before dispatch — a fully warm sweep performs zero
-    simulations — and every fresh result is **checkpointed to the cache
-    as it lands** (in the dispatching process; workers never touch the
-    cache directory), so an interrupted sweep resumes from its completed
-    jobs.
+    ``cache`` (a :class:`ResultCache`, or ``None`` for off) activates
+    the persistent cross-sweep result cache (see
+    :mod:`repro.harness.cache`).  Cached jobs are resolved before
+    dispatch — a fully warm sweep performs zero simulations — and every
+    fresh result is **checkpointed to the cache as it lands** (in the
+    dispatching process; workers never touch the cache directory), so an
+    interrupted sweep resumes from its completed jobs.
 
-    ``policy`` (default: from the ``REPRO_RETRIES`` /
-    ``REPRO_JOB_TIMEOUT`` / ``REPRO_ON_ERROR`` environment) governs
-    retries, backoff, and per-job timeouts — see
-    :class:`~repro.harness.retry.ExecPolicy`; ``on_error`` overrides its
-    disposition.  ``faults`` injects deterministic chaos (tests only).
-    ``report`` accumulates progress/failure counts across calls.
-    ``chunksize`` is accepted for backward compatibility and ignored
-    (dispatch is per-future so results can checkpoint incrementally).
+    ``policy`` (default ``ExecPolicy()``) governs retries, backoff, and
+    per-job timeouts — see :class:`~repro.harness.retry.ExecPolicy`;
+    ``on_error`` overrides its disposition.  ``faults`` injects
+    deterministic chaos (tests only).  ``report`` receives the sweep's
+    progress/failure counts and per-job profiles, accumulating across
+    calls.  ``progress`` streams one stderr line per finished job.
     """
-    del chunksize
-    global _LAST_REPORT
     ordered = dedupe_jobs(jobs)
-    pol = resolve_policy(policy, on_error)
-    store = resolve_cache(cache)
+    pol = policy if policy is not None else ExecPolicy()
+    if on_error is not None:
+        pol = replace(pol, on_error=on_error)
     rep = report if report is not None else SweepReport()
-    _LAST_REPORT = rep
     rep.total += len(ordered)
-    progress = _progress_printer()
     start = time.monotonic()
     results: dict[JobKey, JobResult | JobFailure] = {}
     pending = ordered
     try:
-        if store is not None:
+        if cache is not None:
             pending = []
             for job in ordered:
                 load_start = time.perf_counter()
-                hit = store.get(job)
+                hit = cache.get(job)
                 load_s = time.perf_counter() - load_start
                 if hit is not None:
                     results[job.key] = hit
@@ -533,7 +462,7 @@ def run_jobs(
                         )
                     )
                     if progress:
-                        progress(rep, job, "cached")
+                        _print_progress(rep, job, "cached")
                 else:
                     pending.append(job)
 
@@ -541,8 +470,8 @@ def run_jobs(
             job: SimJob, result: JobResult, wall_s: float = 0.0, attempts: int = 1
         ) -> None:
             results[job.key] = result
-            if store is not None:
-                store.put(job, result)
+            if cache is not None:
+                cache.put(job, result)
             rep.executed += 1
             rep.profiles.append(
                 JobProfile(
@@ -554,7 +483,7 @@ def run_jobs(
                 )
             )
             if progress:
-                progress(rep, job, "done")
+                _print_progress(rep, job, "done")
 
         failures = _execute_jobs(pending, workers, pol, faults, checkpoint, rep)
     except KeyboardInterrupt:
@@ -588,7 +517,7 @@ def run_jobs(
             )
         if progress:
             for failure in failures:
-                progress(rep, by_key[failure.key], failure.kind.upper())
+                _print_progress(rep, by_key[failure.key], failure.kind.upper())
         if pol.on_error == "raise":
             raise JobExecutionError(failures)
         for failure in failures:
@@ -621,7 +550,7 @@ def _execute_jobs(
     """
     if not ordered:
         return []
-    count = resolve_workers(workers)
+    count = max(1, workers or 1)
     completed: set[JobKey] = set()
 
     def _checkpoint(

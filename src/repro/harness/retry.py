@@ -25,26 +25,14 @@ needs to survive worker failures without sacrificing determinism:
   :class:`~repro.harness.parallel.JobFailure` records instead, which
   the drivers render as ``-`` rows.
 
-Environment variables (used when no explicit policy is passed; the CLI
-flags ``--retries`` / ``--job-timeout`` / ``--on-error`` set them):
-
-* ``REPRO_RETRIES`` — retries after the first attempt (default 2, i.e.
-  3 attempts total);
-* ``REPRO_JOB_TIMEOUT`` — per-job timeout in seconds (default: none);
-* ``REPRO_ON_ERROR`` — ``raise`` or ``skip``.
+The CLI builds one policy from ``--retries`` / ``--job-timeout`` /
+``--on-error``; ``run_jobs`` defaults to ``ExecPolicy()``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import os
 from dataclasses import dataclass
-
-#: Environment variables consulted by :func:`resolve_policy`.
-RETRIES_ENV = "REPRO_RETRIES"
-JOB_TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
-ON_ERROR_ENV = "REPRO_ON_ERROR"
 
 #: Valid ``on_error`` dispositions.
 ON_ERROR_MODES = ("raise", "skip")
@@ -108,44 +96,3 @@ def jitter_fraction(key, attempt: int) -> float:
     digest = hashlib.sha256(f"{key!r}|{attempt}".encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-    return value if value > 0 else None
-
-
-def resolve_policy(
-    policy: ExecPolicy | None, on_error: str | None = None
-) -> ExecPolicy:
-    """Normalize a policy argument: an explicit :class:`ExecPolicy` is
-    used as-is, ``None`` builds one from the ``REPRO_*`` environment.
-    ``on_error``, when given, overrides the policy's disposition (the
-    ``run_jobs(..., on_error=...)`` convenience)."""
-    if policy is None:
-        policy = ExecPolicy(
-            attempts=_env_int(RETRIES_ENV, DEFAULT_RETRIES) + 1,
-            job_timeout_s=_env_float(JOB_TIMEOUT_ENV),
-            on_error=os.environ.get(ON_ERROR_ENV, "").strip() or "raise",
-        )
-    if on_error is not None:
-        policy = dataclasses.replace(policy, on_error=on_error)
-    return policy

@@ -11,7 +11,7 @@ Four load-bearing properties:
 3. **Localization** — a channel-pinned attacker accrues RHLI and
    blacklist events only on its own channel.
 4. **Cache-backed sweeps** — a warm re-run of the {1, 2, 4} sweep
-   performs zero simulations (``parallel.job_executions``) and returns
+   performs zero simulations (``SweepReport.executed``) and returns
    identical rows (the perf_smoke entry for ``scripts/perf_smoke.sh``).
 """
 
@@ -23,10 +23,9 @@ import pathlib
 
 import pytest
 
-from repro.harness import parallel
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import channel_scaling
-from repro.harness.parallel import mix_job, mix_key, run_jobs
+from repro.harness.parallel import SweepReport, mix_job, mix_key, run_jobs
 from repro.harness.runner import HarnessConfig
 from repro.workloads.mixes import ATTACKER_THREAD, attack_mixes
 
@@ -235,15 +234,14 @@ def test_perf_smoke_channel_sweep_warm_cache_zero_sims(tmp_path, tiny_hcfg):
         workers=1,
         cache=cache,
     )
-    before = parallel.job_executions()
-    cold = channel_scaling(tiny_hcfg, **kwargs)
-    cold_sims = parallel.job_executions() - before
-    assert cold_sims > 0
-    assert cache.stores == cold_sims
+    cold_report = SweepReport()
+    cold = channel_scaling(tiny_hcfg, report=cold_report, **kwargs)
+    assert cold_report.executed > 0
+    assert cache.stores == cold_report.executed
 
-    before = parallel.job_executions()
-    warm = channel_scaling(tiny_hcfg, **kwargs)
-    assert parallel.job_executions() - before == 0  # fully cache-served
+    warm_report = SweepReport()
+    warm = channel_scaling(tiny_hcfg, report=warm_report, **kwargs)
+    assert warm_report.executed == 0  # fully cache-served
     assert warm == cold
 
     # Per-channel attribution rows exist for every sweep point: one row

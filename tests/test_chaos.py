@@ -37,16 +37,10 @@ from repro.harness.parallel import (
     JobFailure,
     SweepReport,
     failed,
-    job_executions,
     run_jobs,
     single_job,
 )
-from repro.harness.retry import (
-    DEFAULT_RETRIES,
-    ExecPolicy,
-    jitter_fraction,
-    resolve_policy,
-)
+from repro.harness.retry import ExecPolicy, jitter_fraction
 from repro.harness.runner import HarnessConfig
 
 needs_pool = pytest.mark.skipif(
@@ -123,25 +117,6 @@ def test_policy_validation():
         ExecPolicy(job_timeout_s=0.0)
     with pytest.raises(ValueError):
         ExecPolicy(on_error="explode")
-
-
-def test_resolve_policy_reads_environment(monkeypatch):
-    from repro.harness.retry import JOB_TIMEOUT_ENV, ON_ERROR_ENV, RETRIES_ENV
-
-    assert resolve_policy(None).attempts == DEFAULT_RETRIES + 1
-    monkeypatch.setenv(RETRIES_ENV, "5")
-    monkeypatch.setenv(JOB_TIMEOUT_ENV, "2.5")
-    monkeypatch.setenv(ON_ERROR_ENV, "skip")
-    policy = resolve_policy(None)
-    assert policy.attempts == 6  # retries + the first attempt
-    assert policy.job_timeout_s == 2.5
-    assert policy.on_error == "skip"
-    # Explicit policies pass through; on_error override replaces.
-    assert resolve_policy(FAST) is FAST
-    assert resolve_policy(FAST, on_error="skip").on_error == "skip"
-    monkeypatch.setenv(RETRIES_ENV, "many")
-    with pytest.raises(ValueError):
-        resolve_policy(None)
 
 
 # ----------------------------------------------------------------------
@@ -316,10 +291,10 @@ def test_corrupt_cache_entry_quarantined_and_resimulated(tmp_path, jobs, fault_f
     assert cache.stores == len(jobs)
     corrupt_cache_entry(cache, jobs[1])
 
-    before = job_executions()
+    report = SweepReport()
     warm = ResultCache(tmp_path)
-    results = run_jobs(jobs, workers=1, cache=warm)
-    assert job_executions() - before == 1  # only the corrupted job re-runs
+    results = run_jobs(jobs, workers=1, cache=warm, report=report)
+    assert report.executed == 1  # only the corrupted job re-runs
     assert warm.corrupt == 1 and warm.hits == len(jobs) - 1
     assert_identical(results, fault_free)
     # Quarantined out of the lookup namespace, rewritten on re-store.
@@ -336,9 +311,9 @@ def test_truncated_cache_entry_quarantined(tmp_path, jobs):
     run_jobs(jobs, workers=1, cache=cache)
     corrupt_cache_entry(cache, jobs[2], mode="truncate")
     warm = ResultCache(tmp_path)
-    before = job_executions()
-    run_jobs(jobs, workers=1, cache=warm)
-    assert job_executions() - before == 1
+    report = SweepReport()
+    run_jobs(jobs, workers=1, cache=warm, report=report)
+    assert report.executed == 1
     assert warm.corrupt == 1
 
 
@@ -352,10 +327,10 @@ def test_interrupted_sweep_resumes_from_checkpoints(tmp_path, jobs, fault_free):
         run_jobs(jobs, workers=1, cache=cache, faults=plan)
     assert cache.stores == 2  # gcc and bzip2 landed before the interrupt
 
-    before = job_executions()
+    report = SweepReport()
     warm = ResultCache(tmp_path)
-    results = run_jobs(jobs, workers=1, cache=warm)
-    assert job_executions() - before == 2  # only gobmk and sjeng
+    results = run_jobs(jobs, workers=1, cache=warm, report=report)
+    assert report.executed == 2  # only gobmk and sjeng
     assert warm.hits == 2
     assert_identical(results, fault_free)
 
@@ -399,10 +374,10 @@ def test_combined_faults_converge_bit_identical(tmp_path, jobs, fault_free):
     assert not report.failures and report.completed
     # Everything the sweep recovered is now checkpointed: a fresh run
     # over the same directory performs zero simulations.
-    before = job_executions()
+    rerun_report = SweepReport()
     warm = ResultCache(tmp_path)
-    rerun = run_jobs(jobs, workers=1, cache=warm)
-    assert job_executions() == before
+    rerun = run_jobs(jobs, workers=1, cache=warm, report=rerun_report)
+    assert rerun_report.executed == 0 and warm.hits == len(jobs)
     assert_identical(rerun, fault_free)
 
 
@@ -424,8 +399,8 @@ def test_sweep_report_rendering(jobs):
     assert "FAILED [timeout] after 3 attempt(s)" in text
 
 
-def test_last_report_tracks_most_recent_sweep(jobs):
-    run_jobs(jobs[:2], workers=1)
-    report = parallel.last_report()
-    assert report is not None
-    assert report.total == 2 and report.completed
+def test_passed_report_tracks_the_sweep(jobs):
+    report = SweepReport()
+    run_jobs(jobs[:2], workers=1, report=report)
+    assert report.total == 2 and report.completed == 2
+    assert len(report.profiles) == 2

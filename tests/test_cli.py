@@ -61,7 +61,6 @@ def test_chansweep_command_small(capsys):
             "--channel-sweep", "1,2",
             "--mechanisms", "blockhammer",
             "--pinned",
-            "--no-cache",
         ]
     )
     assert code == 0
@@ -80,39 +79,82 @@ def test_chansweep_rejects_bad_channel_list():
         build_parser().parse_args(["chansweep", "--channel-sweep", "0"])
 
 
-def test_exec_policy_flags_set_environment(monkeypatch):
-    """--retries/--job-timeout/--on-error/--progress thread through to
-    the REPRO_* environment that resolve_policy reads."""
-    import os
+def test_execution_keywords_from_flags():
+    """--workers/--retries/--job-timeout/--on-error/--progress build the
+    one set of run_jobs keywords every sweep command forwards."""
+    from repro.harness.cli import _execution
+    from repro.harness.parallel import SweepReport
+    from repro.harness.retry import ExecPolicy
 
-    from repro.harness import parallel
-    from repro.harness.retry import (
-        JOB_TIMEOUT_ENV,
-        ON_ERROR_ENV,
-        RETRIES_ENV,
-        resolve_policy,
-    )
-
-    for var in (RETRIES_ENV, JOB_TIMEOUT_ENV, ON_ERROR_ENV, parallel.PROGRESS_ENV):
-        monkeypatch.delenv(var, raising=False)
-    code = main(
+    report = SweepReport()
+    args = build_parser().parse_args(
         [
-            "table1",  # no sweep: flags must still parse and apply
+            "fig4",
+            "--workers", "3",
             "--retries", "4",
             "--job-timeout", "30",
             "--on-error", "skip",
             "--progress",
         ]
     )
+    execution = _execution(args, report)
+    assert execution["policy"] == ExecPolicy(
+        attempts=5, job_timeout_s=30.0, on_error="skip"
+    )
+    assert execution["workers"] == 3
+    assert execution["progress"] is True
+    assert execution["report"] is report
+    assert execution["cache"] is None  # no cache flag given
+    defaults = _execution(build_parser().parse_args(["fig4"]), report)
+    assert defaults["policy"] == ExecPolicy()
+    assert defaults["workers"] is None and defaults["progress"] is False
+
+
+def test_cli_leaves_process_environment_unchanged(capsys):
+    """Execution flags reach the sweep as run_jobs keywords, never
+    through the process environment."""
+    import os
+
+    before = dict(os.environ)
+    code = main(
+        [
+            "fig4",
+            "--scale", "512",
+            "--instructions", "2000",
+            "--warmup-us", "2",
+            "--apps", "403.gcc",
+            "--mechanisms", "none",
+            "--retries", "4",
+            "--on-error", "skip",
+            "--progress",
+        ]
+    )
     assert code == 0
-    assert os.environ[RETRIES_ENV] == "4"
-    assert os.environ[JOB_TIMEOUT_ENV] == "30.0"
-    assert os.environ[ON_ERROR_ENV] == "skip"
-    assert os.environ[parallel.PROGRESS_ENV] == "1"
-    policy = resolve_policy(None)
-    assert policy.attempts == 5
-    assert policy.job_timeout_s == 30.0
-    assert policy.on_error == "skip"
+    capsys.readouterr()
+    assert dict(os.environ) == before
+
+
+def test_fig4_honours_mechanisms(tmp_path, capsys):
+    """fig4 --mechanisms sweeps only the named mechanisms: one app and
+    one mechanism is the baseline plus one job."""
+    import json
+
+    path = tmp_path / "report.json"
+    code = main(
+        [
+            "fig4",
+            "--scale", "512",
+            "--instructions", "2000",
+            "--warmup-us", "2",
+            "--apps", "403.gcc",
+            "--mechanisms", "para",
+            "--report-json", str(path),
+        ]
+    )
+    assert code == 0
+    assert json.loads(path.read_text())["total"] == 2
+    out = capsys.readouterr().out
+    assert "para" in out and "blockhammer" not in out
 
 
 def test_exec_policy_flags_validate():
@@ -124,10 +166,7 @@ def test_exec_policy_flags_validate():
         build_parser().parse_args(["fig4", "--on-error", "explode"])
 
 
-def test_progress_prints_sweep_report(capsys, monkeypatch):
-    from repro.harness import parallel
-
-    monkeypatch.delenv(parallel.PROGRESS_ENV, raising=False)
+def test_progress_prints_sweep_report(capsys):
     code = main(
         [
             "fig4",
@@ -211,7 +250,6 @@ def test_report_json_writes_sweep_artifact(tmp_path, capsys):
             "--scale", "2048",
             "--instructions", "2000",
             "--warmup-us", "2",
-            "--no-cache",
             "--report-json", str(path),
         ]
     )
@@ -233,10 +271,8 @@ def test_report_json_without_sweep_warns(tmp_path, capsys):
 
 
 def test_stale_report_never_leaks_into_next_command(tmp_path, capsys):
-    """A sweep command leaves a module-global last report; a following
-    non-sweep command in the same process must not republish it."""
-    from repro.harness import parallel
-
+    """Each command observes its own sweep report: a non-sweep command
+    run after a sweep in the same process has nothing to publish."""
     assert main(
         [
             "fig5",
@@ -245,11 +281,9 @@ def test_stale_report_never_leaks_into_next_command(tmp_path, capsys):
             "--scale", "2048",
             "--instructions", "2000",
             "--warmup-us", "2",
-            "--no-cache",
         ]
     ) == 0
     capsys.readouterr()
     path = tmp_path / "stale.json"
     assert main(["table1", "--report-json", str(path)]) == 0
-    assert not path.exists()  # the stale report was cleared, not reused
-    assert parallel.last_report() is None
+    assert not path.exists()  # no sweep ran in this command

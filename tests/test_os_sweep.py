@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness import parallel
 from repro.harness.cache import ResultCache
 from repro.harness.cli import main
 from repro.harness.experiments import (
@@ -20,7 +19,7 @@ from repro.harness.experiments import (
     os_policy_sweep,
     os_sweep_jobs,
 )
-from repro.harness.parallel import mix_key
+from repro.harness.parallel import SweepReport, mix_key
 from repro.harness.reporting import format_os_policy
 from repro.harness.runner import HarnessConfig
 from repro.os.spec import GovernorSpec
@@ -92,9 +91,11 @@ def test_perf_smoke_ossweep_warm_cache_zero_sims(tmp_path, tiny_hcfg):
     assert "ben slow" in table and "atk RHLI" in table
 
     # Warm re-run: identical rows, zero simulations.
-    before = parallel.job_executions()
-    warm = os_policy_sweep(tiny_hcfg, num_mixes=1, workers=1, cache=cache)
-    assert parallel.job_executions() - before == 0
+    report = SweepReport()
+    warm = os_policy_sweep(
+        tiny_hcfg, num_mixes=1, workers=1, cache=cache, report=report
+    )
+    assert report.executed == 0
     assert warm == cold
 
 

@@ -22,7 +22,6 @@ from repro.harness.parallel import (
     dedupe_jobs,
     execute_job,
     mix_job,
-    resolve_workers,
     run_jobs,
     single_job,
     single_key,
@@ -76,15 +75,6 @@ def test_job_validation(tiny_hcfg):
         SimJob(key=("x",), hcfg=tiny_hcfg, kind="single")  # no app
     with pytest.raises(ValueError):
         single_job(tiny_hcfg, "403.gcc", extract=("no_such_extractor",))
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 4
-    assert resolve_workers(0) == 1
-    monkeypatch.setenv("REPRO_WORKERS", "3")
-    assert resolve_workers(None) == 3
 
 
 def test_mix_sweep_jobs_share_alone_runs(tiny_hcfg):
@@ -152,13 +142,12 @@ def test_interrupt_flushes_final_report_before_propagating(
         return real(job)
 
     monkeypatch.setattr(parallel, "execute_job", fake)
-    monkeypatch.setenv("REPRO_PROGRESS", "1")
     jobs = [
         single_job(tiny_hcfg, "403.gcc", "none"),
         single_job(tiny_hcfg, "403.gcc", "blockhammer"),
     ]
     with pytest.raises(KeyboardInterrupt):
-        run_jobs(jobs, workers=1, cache=False)
+        run_jobs(jobs, workers=1, progress=True)
     err = capsys.readouterr().err
     assert "interrupted: 1 completed job(s) checkpointed" in err
     assert "sweep: 2 job(s) — 0 cached, 1 executed" in err
@@ -172,9 +161,8 @@ def test_interrupt_is_silent_without_progress(tiny_hcfg, monkeypatch, capsys):
     monkeypatch.setattr(
         parallel, "execute_job", lambda job: (_ for _ in ()).throw(KeyboardInterrupt)
     )
-    monkeypatch.delenv("REPRO_PROGRESS", raising=False)
     with pytest.raises(KeyboardInterrupt):
-        run_jobs([single_job(tiny_hcfg, "403.gcc", "none")], workers=1, cache=False)
+        run_jobs([single_job(tiny_hcfg, "403.gcc", "none")], workers=1)
     assert "interrupted" not in capsys.readouterr().err
 
 

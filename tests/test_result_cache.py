@@ -1,7 +1,7 @@
 """The persistent cross-sweep result cache.
 
 The acceptance property: a warm-cache re-run of an unchanged sweep
-performs **zero** simulations (asserted via the job-execution counter)
+performs **zero** simulations (asserted via ``SweepReport.executed``)
 and returns rows identical to both the serial and the parallel
 execution of the same sweep — including on multi-channel
 configurations, whose results carry per-channel rows through the JSON
@@ -14,18 +14,11 @@ import json
 
 import pytest
 
-from repro.harness import parallel
-from repro.harness.cache import (
-    CACHE_ENV,
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    resolve_cache,
-    source_fingerprint,
-)
+from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache, source_fingerprint
 from repro.harness.experiments import fig5_multicore
 from repro.harness.parallel import (
+    SweepReport,
     execute_job,
-    job_executions,
     mix_job,
     run_jobs,
     single_job,
@@ -70,9 +63,11 @@ def test_serial_parallel_and_cache_hit_rows_identical(tmp_path, hcfg2):
     serial = fig5_multicore(hcfg2, 1, ["blockhammer"], workers=1)
     parallel_rows = fig5_multicore(hcfg2, 1, ["blockhammer"], workers=2)
     cold = fig5_multicore(hcfg2, 1, ["blockhammer"], workers=1, cache=cache)
-    before = job_executions()
-    warm = fig5_multicore(hcfg2, 1, ["blockhammer"], workers=1, cache=cache)
-    assert job_executions() == before  # zero simulations on the warm run
+    report = SweepReport()
+    warm = fig5_multicore(
+        hcfg2, 1, ["blockhammer"], workers=1, cache=cache, report=report
+    )
+    assert report.executed == 0  # zero simulations on the warm run
     assert serial == parallel_rows == cold == warm
     assert cache.hits >= cache.stores > 0
 
@@ -86,9 +81,9 @@ def test_warm_run_serves_every_job_from_disk(tmp_path, hcfg2):
     run_jobs(jobs, workers=1, cache=cache)
     assert cache.stores == 2
     warm_cache = ResultCache(tmp_path)  # fresh instance, same directory
-    before = job_executions()
-    results = run_jobs(jobs, workers=1, cache=warm_cache)
-    assert job_executions() == before
+    report = SweepReport()
+    results = run_jobs(jobs, workers=1, cache=warm_cache, report=report)
+    assert report.executed == 0
     assert warm_cache.hits == 2 and warm_cache.misses == 0
     assert set(results) == {job.key for job in jobs}
 
@@ -206,25 +201,8 @@ def test_source_fingerprint_is_stable():
 
 
 # ----------------------------------------------------------------------
-# Activation plumbing.
+# On-disk layout.
 # ----------------------------------------------------------------------
-def test_resolve_cache_precedence(tmp_path, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV, raising=False)
-    assert resolve_cache(None) is None
-    assert resolve_cache(False) is None
-    assert resolve_cache(True).root.name == DEFAULT_CACHE_DIR
-    explicit = ResultCache(tmp_path)
-    assert resolve_cache(explicit) is explicit
-    monkeypatch.setenv(CACHE_ENV, "0")
-    assert resolve_cache(None) is None
-    monkeypatch.setenv(CACHE_ENV, "1")
-    assert str(resolve_cache(None).root) == DEFAULT_CACHE_DIR
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "elsewhere"))
-    assert resolve_cache(None).root == tmp_path / "elsewhere"
-    # An explicit False always wins over the environment.
-    assert resolve_cache(False) is None
-
-
 def test_entries_are_json_files_under_root(tmp_path, hcfg2):
     cache = ResultCache(tmp_path)
     job = single_job(hcfg2, "403.gcc", "none")
@@ -253,8 +231,7 @@ def test_perf_smoke_two_channel_pool_and_cache(tmp_path, hcfg2):
     assert cache.stores == 2
     warm = run_jobs(jobs, workers=2, cache=cache)
     # Every warm job hit (and only the cold run missed): run_jobs only
-    # dispatches misses, so zero simulations ran in *any* process —
-    # the per-process job_executions counter cannot see pool workers.
+    # dispatches misses, so zero simulations ran in *any* process.
     assert cache.hits == 2
     assert cache.misses == 2
     for key in cold:
@@ -305,9 +282,11 @@ def test_cap_evicts_oldest_entries_and_warm_hits_skip_simulation(tmp_path, hcfg_
     for job in jobs[2:]:
         assert fresh.get(job) is not None
     # Warm hits on the survivors still skip simulation entirely.
-    before = job_executions()
-    results = run_jobs(jobs[2:], workers=1, cache=ResultCache(tmp_path, max_entries=3))
-    assert job_executions() == before
+    report = SweepReport()
+    results = run_jobs(
+        jobs[2:], workers=1, cache=ResultCache(tmp_path, max_entries=3), report=report
+    )
+    assert report.executed == 0
     assert set(results) == {job.key for job in jobs[2:]}
 
 
@@ -337,22 +316,11 @@ def test_cap_validation_and_unbounded_default(tmp_path):
     assert ResultCache(tmp_path).max_entries is None
 
 
-def test_env_var_caps_resolved_caches(tmp_path, monkeypatch):
-    from repro.harness.cache import CACHE_MAX_ENV
-
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "capped"))
-    monkeypatch.setenv(CACHE_MAX_ENV, "7")
-    assert resolve_cache(None).max_entries == 7
-    assert resolve_cache(True).max_entries == 7
-    monkeypatch.setenv(CACHE_MAX_ENV, "not-a-number")
-    with pytest.raises(ValueError):
-        resolve_cache(None)
-    monkeypatch.delenv(CACHE_MAX_ENV)
-    assert resolve_cache(None).max_entries is None
-
-
 def test_cli_flag_builds_a_capped_cache(tmp_path):
-    from repro.harness.cli import _cache, build_parser
+    from repro.harness.cli import _execution, build_parser
+
+    def _cache(args):
+        return _execution(args, SweepReport())["cache"]
 
     parser = build_parser()
     args = parser.parse_args(
@@ -367,22 +335,6 @@ def test_cli_flag_builds_a_capped_cache(tmp_path):
     assert isinstance(implied, ResultCache)
     assert implied.max_entries == 9
     assert str(implied.root) == DEFAULT_CACHE_DIR
-
-
-def test_cli_cap_respects_environment_cache_dir(tmp_path, monkeypatch):
-    """--cache-max-entries must cap the environment-selected directory,
-    not silently redirect to the default one."""
-    from repro.harness.cli import _cache, build_parser
-
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "warm"))
-    cache = _cache(build_parser().parse_args(["fig5", "--cache-max-entries", "4"]))
-    assert isinstance(cache, ResultCache)
-    assert cache.root == tmp_path / "warm"
-    assert cache.max_entries == 4
-    # REPRO_CACHE=1 (default directory) and unset both fall back to the
-    # default location.
-    monkeypatch.setenv(CACHE_ENV, "1")
-    assert str(_cache(build_parser().parse_args(["fig5", "--cache-max-entries", "4"])).root) == DEFAULT_CACHE_DIR
 
 
 def test_cli_rejects_non_positive_cap(capsys):

@@ -1,10 +1,8 @@
-"""Sweep-report edge cases, per-job profiles, and the last-report reset.
+"""Sweep-report edge cases and per-job profiles.
 
-Satellites of the observability PR: ``format_sweep_report`` must render
-degenerate sweeps (zero jobs, all-cached, failures-only) sensibly, the
-``SweepReport`` counters must add up under retry+timeout combinations,
-and the module-global last-report slot must be resettable so sequential
-sweeps in one process never leak accounting into each other.
+``format_sweep_report`` must render degenerate sweeps (zero jobs,
+all-cached, failures-only) sensibly, and the ``SweepReport`` counters
+must add up under retry+timeout combinations and across calls.
 """
 
 from __future__ import annotations
@@ -134,26 +132,3 @@ def test_report_accumulates_across_runs(tmp_path, jobs):
     assert report.total == 5
     assert report.executed == 3 and report.cached == 2
     assert len(report.profiles) == 5
-
-
-# ----------------------------------------------------------------------
-# The last-report module global.
-# ----------------------------------------------------------------------
-def test_reset_last_report_clears_the_slot(jobs):
-    run_jobs(jobs[:1], workers=1)
-    assert parallel.last_report() is not None
-    parallel.reset_last_report()
-    assert parallel.last_report() is None
-
-
-def test_last_report_does_not_leak_across_sweeps(jobs):
-    """Without an explicit report, each ``run_jobs`` call publishes a
-    fresh report — the second sweep's counters never include the
-    first's."""
-    run_jobs(jobs, workers=1)
-    first = parallel.last_report()
-    assert first.total == len(jobs)
-    run_jobs(jobs[:1], workers=1)
-    second = parallel.last_report()
-    assert second is not first
-    assert second.total == 1
