@@ -16,7 +16,6 @@ from repro.core.config import BlockHammerConfig
 from repro.core.rowblocker import RowBlocker, RowBlockerBL, DelayStats
 from repro.core.throttler import AttackThrottler
 from repro.core.blockhammer import BlockHammer
-from repro.core.os_policy import BlockHammerWithOsPolicy
 
 __all__ = [
     "HashFamily",
@@ -32,5 +31,4 @@ __all__ = [
     "DelayStats",
     "AttackThrottler",
     "BlockHammer",
-    "BlockHammerWithOsPolicy",
 ]

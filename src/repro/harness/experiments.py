@@ -564,7 +564,7 @@ def channel_scaling(
 #: at RHLI exactly 0 while a throttled attacker's *per-epoch* RHLI
 #: still reads a few percent (the rotating counters clear each epoch),
 #: so a small positive threshold separates them cleanly — the same
-#: regime the ``blockhammer-os`` tests exercise.
+#: regime the kill-policy tests in ``tests/test_os_governor.py`` use.
 OS_SWEEP_POLICIES: dict[str, GovernorSpec | None] = {
     "none": None,
     "kill": GovernorSpec(

@@ -67,6 +67,7 @@ from repro.harness.cache import CACHEABLE_EXTRAS, ResultCache
 from repro.harness.faults import FaultPlan, SimulatedCrash
 from repro.harness.retry import ExecPolicy
 from repro.harness.runner import HarnessConfig, Runner, RunOutcome
+from repro.mitigations.registry import available_mitigations
 from repro.obs.profile import JobProfile
 from repro.os.spec import GovernorSpec
 from repro.sim.stats import SimResult
@@ -206,6 +207,11 @@ class SimJob:
     def __post_init__(self) -> None:
         if self.kind not in ("single", "mix"):
             raise ValueError(f"unknown job kind {self.kind!r}")
+        known = available_mitigations()
+        if self.mechanism not in known:
+            raise ValueError(
+                f"unknown mitigation {self.mechanism!r}; known: {', '.join(known)}"
+            )
         if self.kind == "single" and self.app is None:
             raise ValueError("single jobs need an app name")
         if self.kind == "mix" and self.mix is None:

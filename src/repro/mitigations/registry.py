@@ -33,12 +33,6 @@ def _blockhammer_observe(**kwargs) -> MitigationMechanism:
     return BlockHammer(observe_only=True, **kwargs)
 
 
-def _blockhammer_os(**kwargs) -> MitigationMechanism:
-    from repro.core.os_policy import BlockHammerWithOsPolicy
-
-    return BlockHammerWithOsPolicy(**kwargs)
-
-
 _FACTORIES: dict[str, Callable[..., MitigationMechanism]] = {
     "none": NoMitigation,
     "para": Para,
@@ -49,7 +43,6 @@ _FACTORIES: dict[str, Callable[..., MitigationMechanism]] = {
     "graphene": Graphene,
     "blockhammer": _blockhammer,
     "blockhammer-observe": _blockhammer_observe,
-    "blockhammer-os": _blockhammer_os,
     "refresh-rate": IncreasedRefreshRate,
     "naive-throttle": NaiveThrottling,
 }

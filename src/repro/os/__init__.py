@@ -17,13 +17,11 @@ injection counts) and drives pluggable scheduling policies:
 * :class:`~repro.os.policies.MigratePolicy` — re-pin a suspect thread's
   future requests to a quarantine channel, isolating its interference.
 
-The governor runs in two deployments: **system-level** (attached to a
-:class:`~repro.sim.system.System`, reviewed from the event loop, acting
-on cores) and **mechanism-coupled** (embedded in
-:class:`~repro.core.os_policy.BlockHammerWithOsPolicy`, reviewed from
-the mechanism's ``advance_to`` hook, one instance per channel — the
-original ``blockhammer-os`` semantics, bit-identical).  Disabled (the
-default) it costs nothing: no events are scheduled and no hooks fire.
+The governor is attached to a :class:`~repro.sim.system.System`
+(harness jobs carry it as a picklable
+:class:`~repro.os.spec.GovernorSpec`), reviewed from the event loop,
+and acts on cores.  Disabled (the default) it costs nothing: no events
+are scheduled and no hooks fire.
 """
 
 from repro.os.governor import Governor

@@ -4,33 +4,23 @@ A :class:`Governor` closes the loop between mitigation telemetry and
 scheduling decisions: once per epoch it samples a
 :class:`~repro.os.telemetry.TelemetrySample` and hands it to its
 policies, which act back through the governor (it is its own action
-sink).  Two deployments share this one class:
+sink).  :meth:`attach` binds the governor to a
+:class:`~repro.sim.system.System`; the event loop drives reviews
+(``System._fire_governor``) and actions land on cores: kill
+deschedules the thread (zero requests after the kill timestamp),
+quota scales the core's memory-level-parallelism limit, migrate
+re-pins the core's future requests to a quarantine channel.
+Telemetry aggregates across every channel (counters sum, RHLI maxes
+— ``MemorySystem.os_telemetry``).
 
-* **system-level** — :meth:`attach` binds the governor to a
-  :class:`~repro.sim.system.System`; the event loop drives reviews
-  (``System._fire_governor``) and actions land on cores: kill
-  deschedules the thread (zero requests after the kill timestamp),
-  quota scales the core's memory-level-parallelism limit, migrate
-  re-pins the core's future requests to a quarantine channel.
-  Telemetry aggregates across every channel (counters sum, RHLI maxes
-  — ``MemorySystem.os_telemetry``).
-* **mechanism-coupled** — :meth:`bind_mechanism` embeds the governor in
-  one mechanism instance (``BlockHammerWithOsPolicy``), reviews are
-  driven from the mechanism's ``advance_to`` hook, and actions are
-  *recorded only*: the mechanism enforces kills itself through its
-  in-flight quotas, preserving the original per-channel ``blockhammer-
-  os`` semantics bit-exactly.
-
-Review cadence is normalized in both modes: the first review happens
-one epoch after the governor first observes time (``advance``), not one
-epoch after attach — the old OS policy initialized its review clock at
-attach time, silently assuming attach happened at t=0.
+An unattached governor is a plain action sink: it records the actions
+its policies take and applies none of them.
 """
 
 from __future__ import annotations
 
 from repro.os.policies import OsPolicy
-from repro.os.telemetry import TelemetrySample, sample_telemetry
+from repro.os.telemetry import TelemetrySample
 from repro.utils.validation import require
 
 
@@ -46,11 +36,10 @@ class Governor:
             require(epoch_ns > 0.0, "governor epoch must be positive")
         self.policies = list(policies)
         #: Review cadence; ``None`` defers to the attach-time default
-        #: (the mechanism's RHLI counter epoch where it has one).
+        #: (the channel-0 mechanism's RHLI counter epoch where it has one).
         self.epoch_ns = epoch_ns
         self._next_review: float | None = None
         self._system = None
-        self._mechanism = None
         self._now = 0.0
         #: Reviews performed so far.
         self.epochs = 0
@@ -65,35 +54,14 @@ class Governor:
         self.quota_updates = 0
 
     # ------------------------------------------------------------------
-    # Deployment binding.
+    # Binding.
     # ------------------------------------------------------------------
     def attach(self, system) -> None:
-        """Bind to a :class:`~repro.sim.system.System` (system-level
-        mode): telemetry spans every channel, actions land on cores."""
-        require(self._mechanism is None, "governor already bound to a mechanism")
+        """Bind to a :class:`~repro.sim.system.System`: telemetry spans
+        every channel, actions land on cores."""
         self._system = system
         if self.epoch_ns is None:
             self.epoch_ns = self._default_epoch(system)
-
-    def bind_mechanism(self, mechanism, epoch_ns: float | None = None) -> None:
-        """Bind to one mechanism instance (mechanism-coupled mode):
-        telemetry comes from that instance alone and actions are
-        recorded for the mechanism to enforce.  Only policies whose
-        actions a mechanism *can* enforce are accepted — quota/migrate
-        act on cores, so logging them here would fabricate an action
-        record nothing ever applied."""
-        require(self._system is None, "governor already attached to a system")
-        for policy in self.policies:
-            require(
-                not policy.requires_system,
-                f"{policy.name} policy acts on cores and needs a "
-                "system-level governor, not a mechanism-coupled one",
-            )
-        self._mechanism = mechanism
-        if epoch_ns is not None:
-            require(epoch_ns > 0.0, "governor epoch must be positive")
-            self.epoch_ns = epoch_ns
-        require(self.epoch_ns is not None, "mechanism-coupled governor needs an epoch")
 
     def _default_epoch(self, system) -> float:
         """Default review cadence: the channel-0 mechanism's epoch (the
@@ -116,11 +84,7 @@ class Governor:
 
     def advance(self, now: float) -> float:
         """Perform every review due at or before ``now``; returns the
-        next review time.  Safe to call at any cadence (each controller
-        step in mechanism-coupled mode, exact epoch events in
-        system-level mode)."""
-        if self._next_review is None:
-            return self.start(now)
+        next review time.  :meth:`start` must have anchored the clock."""
         while now >= self._next_review:
             self._review(now)
             self._next_review += self.epoch_ns
@@ -137,11 +101,6 @@ class Governor:
 
     def sample(self, now: float) -> TelemetrySample:
         """The telemetry this governor's policies see at ``now``."""
-        if self._mechanism is not None:
-            mechanism = self._mechanism
-            return sample_telemetry(
-                [mechanism], mechanism.context.num_threads, now, self.epochs
-            )
         return self._system.memsys.os_telemetry(now, self.epochs)
 
     # ------------------------------------------------------------------

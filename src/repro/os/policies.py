@@ -4,9 +4,7 @@ Each policy is reviewed once per governor epoch with a fresh
 :class:`~repro.os.telemetry.TelemetrySample` and an action sink (the
 :class:`~repro.os.governor.Governor` itself).  Policies keep their own
 per-thread state (strike counters, quota scales) and act through the
-sink only — they never touch cores or mechanisms directly, so the same
-policy object works in both governor deployments (system-level and
-mechanism-coupled).
+sink only — they never touch cores or mechanisms directly.
 
 All thresholds compare against
 :attr:`~repro.os.telemetry.ThreadTelemetry.suspect_score`: RHLI where
@@ -25,11 +23,6 @@ class OsPolicy:
     """Base policy: reviewed every governor epoch, acts via the sink."""
 
     name = "base"
-    #: Policies whose actions land on cores (quota scaling, channel
-    #: re-pinning) only work in a system-level governor; a
-    #: mechanism-coupled governor rejects them at bind time rather than
-    #: silently logging actions that were never enforced.
-    requires_system = False
 
     def review(self, sample: TelemetrySample, actions) -> None:
         """Inspect ``sample`` and apply decisions through ``actions``
@@ -41,11 +34,8 @@ class StrikePolicy(OsPolicy):
     """Shared strike bookkeeping: one strike per review epoch while a
     thread's suspect score sits at or above ``threshold``, reset the
     moment it drops, firing :meth:`_fire` after ``patience_epochs``
-    consecutive strikes.  Ports the original ``BlockHammerWithOsPolicy``
-    strike logic bit-exactly, with the review-cadence fixes: strike
-    entries are dropped (not retained) once a thread fires, and the
-    review clock anchors to the time the governor first observes (see
-    ``Governor.advance``)."""
+    consecutive strikes.  Strike entries are dropped (not retained) once
+    a thread fires."""
 
     def __init__(self, threshold: float, patience_epochs: int) -> None:
         require(threshold > 0.0, f"{self.name} threshold must be positive")
@@ -85,9 +75,7 @@ class StrikePolicy(OsPolicy):
 class KillPolicy(StrikePolicy):
     """Deschedule a thread after ``patience_epochs`` consecutive suspect
     epochs (the paper's "might kill or deschedule an attacking
-    thread").  Works in both governor deployments: a system-level
-    governor deschedules the core, a mechanism-coupled one records the
-    kill for the mechanism to enforce as a zero in-flight quota.
+    thread"): the governor deschedules the thread's core.
     """
 
     name = "kill"
@@ -116,7 +104,6 @@ class QuotaScalePolicy(OsPolicy):
     """
 
     name = "quota"
-    requires_system = True  # acts on cores (MLP limits)
 
     def __init__(
         self,
@@ -167,7 +154,6 @@ class MigratePolicy(StrikePolicy):
     """
 
     name = "migrate"
-    requires_system = True  # acts on cores (channel re-pinning)
 
     def __init__(
         self,

@@ -55,6 +55,8 @@ class GovernorSpec:
                 f"unknown governor policy {name!r}; "
                 f"known: {', '.join(OS_POLICY_NAMES)}",
             )
+        # Build once so a bad knob fails here, not later in a worker.
+        build_governor(self)
 
 
 def _build_policy(spec: GovernorSpec, name: str):

@@ -86,17 +86,15 @@ def sample_telemetry(
     mechanisms,
     num_threads: int,
     now: float,
-    epoch: int = 0,
-    thread_stats=None,
+    epoch: int,
+    thread_stats,
 ) -> TelemetrySample:
     """Build a :class:`TelemetrySample` from per-channel mechanism
-    instances plus (optionally) per-thread controller statistics.
+    instances plus per-thread controller statistics.
 
     ``mechanisms`` is one instance per channel; ``thread_stats`` is the
     cross-channel :class:`~repro.mem.controller.ThreadMemStats` list
-    (``MemorySystem.merged_thread_stats``) or ``None`` in mechanism-
-    coupled deployments, where the governor lives inside one mechanism
-    and controller counters are out of scope.
+    (``MemorySystem.merged_thread_stats``).
     """
     snapshots: list[MechanismTelemetry] = [
         mechanism.os_telemetry() for mechanism in mechanisms
@@ -108,19 +106,15 @@ def sample_telemetry(
             for snap in snapshots
         ]
         tracked = [value for value in per_channel if value is not None]
-        stats = thread_stats[thread] if thread_stats is not None else None
+        stats = thread_stats[thread]
         threads.append(
             ThreadTelemetry(
                 thread=thread,
                 rhli=max(tracked) if tracked else None,
                 rhli_per_channel=per_channel,
-                blocked_injections=(
-                    stats.blocked_injections if stats is not None else 0
-                ),
-                quota_blocked=(
-                    stats.quota_blocked_injections if stats is not None else 0
-                ),
-                requests=(stats.reads + stats.writes) if stats is not None else 0,
+                blocked_injections=stats.blocked_injections,
+                quota_blocked=stats.quota_blocked_injections,
+                requests=stats.reads + stats.writes,
             )
         )
     return TelemetrySample(

@@ -26,12 +26,12 @@ everything physical.
 Scenarios are deterministic functions of (scenario, seed): ``benign``
 is three Table 8 applications, ``attack`` is one double-sided hammer
 plus one benign victim, ``mixed`` is one hammer plus three benign
-threads, and ``governed`` is an attack mix running under an OS
-governor (``blockhammer-os``'s mechanism-coupled kill governor on even
-seeds, a system-level kill governor on odd seeds, plus a system-level
-migrate/kill governor above both) — governor actions (deschedules,
-channel re-pins) reshape the command stream mid-run and must do so
-identically under both scheduler policies.  ``reactive`` rotates the
+threads, and ``governed`` is an attack mix running under a
+system-level OS governor (migrate above observe-only BlockHammer on
+even seeds, quota+kill above full BlockHammer on odd seeds) — governor
+actions (deschedules, quota rescaling, channel re-pins) reshape the
+command stream mid-run and must do so identically under both scheduler
+policies.  ``reactive`` rotates the
 victim-refresh mechanisms MRLoc, CBT, and TWiCe (seed % 3) against an
 attack mix, covering every registered mechanism in the time-advance
 contract.  Seeds vary both the application selection and every RNG
@@ -56,7 +56,8 @@ SCENARIOS = ("benign", "attack", "mixed", "governed", "reactive")
 #: (victim-refresh / PRE interleaving in the controller step), a
 #: blocker that declares *no* verdict stability (naive-throttle,
 #: ``act_block_stable = -inf``) — the scheduler's uncacheable per-step
-#: re-examination path — and the governor-carrying ``blockhammer-os``.
+#: re-examination path — and observe-only BlockHammer
+#: (``blockhammer-observe``), where the governor alone responds.
 #: The ``reactive`` scenario rotates the remaining registered
 #: mechanisms (MRLoc, CBT, TWiCe): all three queue victim refreshes
 #: through the controller's time-advance contract and must stay
@@ -65,7 +66,7 @@ _MECHANISMS = {
     "benign": ("blockhammer", "none"),
     "attack": ("blockhammer", "naive-throttle"),
     "mixed": ("graphene", "para"),
-    "governed": ("blockhammer-os", "blockhammer"),
+    "governed": ("blockhammer-observe", "blockhammer"),
     "reactive": ("mrloc", "cbt", "twice"),
 }
 
@@ -84,16 +85,6 @@ _GOVERNORS: dict[str, tuple[GovernorSpec | None, GovernorSpec | None]] = {
             policy="quota+kill", epoch_ns=10_000.0, threshold=0.01, patience_epochs=2
         ),
     ),
-}
-
-#: Mechanism construction overrides per scenario (worker-side kwargs):
-#: the governed scenario runs at scale 512 where ``blockhammer-os``'s
-#: default review interval (half a CBF lifetime) exceeds the whole run,
-#: so its embedded governor polls every 10 us like the system one.
-_MECHANISM_KWARGS = {
-    "governed": {
-        "blockhammer-os": {"review_interval_ns": 10_000.0, "kill_rhli": 0.02},
-    },
 }
 
 #: Per-scenario run-shape overrides.  The governed scenario needs the
@@ -170,12 +161,10 @@ def run_policy(
         seed=1 + seed,
     )
     runner = Runner(hcfg, policy=policy, capture_commands=True)
-    mechanism = scenario_mechanism(scenario, seed)
     outcome = runner.run_mix(
         scenario_mix(scenario, seed),
-        mechanism,
+        scenario_mechanism(scenario, seed),
         governor=scenario_governor(scenario, seed),
-        **_MECHANISM_KWARGS.get(scenario, {}).get(mechanism, {}),
     )
     result = dataclasses.asdict(outcome.result)
     result.pop("events_processed")

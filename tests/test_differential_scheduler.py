@@ -9,16 +9,17 @@ energy (see ``tests/differential.py`` for the harness and for why
 ``events_processed`` alone is excluded).
 
 The mechanism rotates with the scenario/seed (BlockHammer, the
-unprotected baseline, Graphene, PARA, naive-throttle, blockhammer-os,
-MRLoc, CBT, TWiCe) so proactive verdict caching, reactive victim
-refreshes, the plain timing-only path, and the no-stability-declared
-per-step re-query path are all differentially covered — every
-mechanism in the registry participates in the time-advance contract.  The ``governed`` scenario additionally
-runs an OS governor above the memory system (mechanism-coupled kill in
-``blockhammer-os`` on even seeds, plus a system-level migrate/kill
-governor): governor actions reshape the command stream mid-run
-(deschedules, channel re-pins) and must preserve fast == reference
-bit-identity, action log included.
+unprotected baseline, Graphene, PARA, naive-throttle, observe-only
+BlockHammer, MRLoc, CBT, TWiCe) so proactive verdict caching, reactive
+victim refreshes, the plain timing-only path, and the
+no-stability-declared per-step re-query path are all differentially
+covered — every mechanism in the registry participates in the
+time-advance contract.  The ``governed`` scenario additionally runs a
+system-level OS governor above the memory system (migrate above
+observe-only BlockHammer on even seeds, quota+kill above BlockHammer
+on odd seeds): governor actions reshape the command stream mid-run
+(deschedules, quota rescaling, channel re-pins) and must preserve
+fast == reference bit-identity, action log included.
 
 The ``perf_smoke``-marked smoke is the seconds-fast subset wired into
 ``scripts/perf_smoke.sh`` (tier-1).
@@ -83,16 +84,16 @@ def test_governed_scenario_actually_acts():
     fire *inside* the differential runs: the system-level governor must
     log actions (identically under both policies — also asserted for
     every pair by ``assert_equivalent``).  Seed 0 covers channel
-    migration above the mechanism-coupled ``blockhammer-os`` governor;
-    seed 1 covers mid-run MLP-quota rescaling *and* a system-level
+    migration above observe-only BlockHammer, where the governor alone
+    responds; seed 1 covers mid-run MLP-quota rescaling *and* a system-level
     deschedule (quota+kill)."""
     fast, ref = run_pair("governed", 0, 2)
     actions = fast.governor_actions
     assert actions is not None and actions["epochs"] > 0
     assert actions["migrations"], "migrate governor never fired"
     assert fast.governor_actions == ref.governor_actions
-    # Even seed -> blockhammer-os: the mechanism-coupled deployment.
-    assert fast.result["mitigation"] == "blockhammer-os"
+    # Even seed -> observe-only BlockHammer: no hardware throttling.
+    assert fast.result["mitigation"] == "blockhammer-observe"
 
     fast, ref = run_pair("governed", 1, 2)
     actions = fast.governor_actions

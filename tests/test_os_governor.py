@@ -46,9 +46,9 @@ def build_system(
     attack_channels=None,
     mechanism_factory=BlockHammer,
 ):
-    """One attacker (thread 0) plus one benign thread under blockhammer,
-    mirroring the ``blockhammer-os`` test rig but with a *system-level*
-    governor."""
+    """One attacker (thread 0) plus one benign thread under blockhammer
+    (or ``mechanism_factory``), with ``governor`` attached to the
+    system."""
     spec = small_spec.with_channels(channels) if channels > 1 else small_spec
     mapping = AddressMapping(spec, MappingScheme.MOP)
     attack = double_sided_attack(
@@ -91,6 +91,35 @@ def test_killed_thread_issues_zero_requests_after_kill(small_spec):
     assert 1 not in governor.killed
     assert system.cores[1].descheduled_at is None
     assert result.total_bitflips == 0
+
+
+def test_patience_delays_the_kill(small_spec):
+    governor = Governor(
+        [KillPolicy(kill_rhli=0.03, patience_epochs=500)], epoch_ns=10_000.0
+    )
+    system = build_system(small_spec, governor)
+    result = system.run(instructions_per_thread=[None, 20_000])
+    # Not enough reviews elapse for 500 strikes: the attacker survives
+    # (still throttled by the ordinary quotas, so still no bit-flips).
+    assert governor.epochs > 0
+    assert governor.killed == set()
+    assert result.total_bitflips == 0
+
+
+def test_os_policy_beats_plain_quota_on_attacker_acts(small_spec):
+    plain_result = build_system(small_spec, None).run(
+        instructions_per_thread=[None, 40_000]
+    )
+    governor = Governor(
+        [KillPolicy(kill_rhli=0.03, patience_epochs=1)], epoch_ns=10_000.0
+    )
+    governed_result = build_system(small_spec, governor).run(
+        instructions_per_thread=[None, 40_000]
+    )
+    assert governor.killed == {0}
+    plain_acts = plain_result.threads[0].mem.activations
+    governed_acts = governed_result.threads[0].mem.activations
+    assert governed_acts <= plain_acts
 
 
 def test_killed_thread_does_not_gate_completion(small_spec):
@@ -298,21 +327,21 @@ def test_governor_spec_rejects_unknown_policy():
         GovernorSpec(policy="kill+reboot")
 
 
-def test_governor_rejects_double_binding(small_spec):
-    governor = Governor([KillPolicy()], epoch_ns=1.0)
-    governor.bind_mechanism(BlockHammer(), epoch_ns=1.0)
+@pytest.mark.parametrize(
+    "spec_kwargs",
+    [
+        {"policy": "kill", "threshold": 0.0},
+        {"policy": "quota", "decay": 1.5},
+        {"policy": "kill", "epoch_ns": 0.0},
+        {"policy": "kill", "patience_epochs": 0},
+        {"policy": "migrate", "quarantine_channel": -1},
+    ],
+)
+def test_governor_spec_rejects_bad_knobs_at_construction(spec_kwargs):
+    """A bad knob fails when the spec is declared, not inside
+    ``build_governor`` in a sweep worker."""
     with pytest.raises(ConfigError):
-        governor.attach(object())
-
-
-def test_mechanism_coupled_governor_rejects_core_acting_policies():
-    """Quota and migrate act on cores; a mechanism-coupled governor
-    cannot enforce them and must refuse rather than log fabricated
-    actions."""
-    for policy in (QuotaScalePolicy(), MigratePolicy()):
-        governor = Governor([policy], epoch_ns=1.0)
-        with pytest.raises(ConfigError):
-            governor.bind_mechanism(BlockHammer(), epoch_ns=1.0)
+        GovernorSpec(**spec_kwargs)
 
 
 def test_policy_parameter_validation():
@@ -348,9 +377,8 @@ def test_kill_policy_drops_strike_state_for_killed_threads():
 
 def test_review_clock_anchors_to_first_observed_time():
     governor = Governor([KillPolicy(kill_rhli=0.5)], epoch_ns=100.0)
-    governor.bind_mechanism(BlockHammer(), epoch_ns=100.0)
-    # First observation at t=250 (a nonzero attach time): the first
-    # review lands one epoch later, not at the stale attach-relative
-    # t=100/t=200 instants.
-    assert governor.advance(250.0) == 350.0
+    # Started at t=250 (a nonzero start time): the first review lands
+    # one epoch later, not at the start-relative t=100/t=200 instants.
+    assert governor.start(250.0) == 350.0
+    assert governor.advance(300.0) == 350.0
     assert governor.epochs == 0

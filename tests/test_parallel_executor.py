@@ -75,6 +75,11 @@ def test_job_validation(tiny_hcfg):
         SimJob(key=("x",), hcfg=tiny_hcfg, kind="single")  # no app
     with pytest.raises(ValueError):
         single_job(tiny_hcfg, "403.gcc", extract=("no_such_extractor",))
+    # Unknown mechanisms fail here, not after the retry ladder in a
+    # worker; the retired BlockHammer-plus-kill-governor name included.
+    for name in ("blockhammer-0s", "blockhammer-os"):
+        with pytest.raises(ValueError, match="unknown mitigation"):
+            single_job(tiny_hcfg, "403.gcc", name)
 
 
 def test_mix_sweep_jobs_share_alone_runs(tiny_hcfg):
