@@ -9,33 +9,31 @@ any bit flipped.
 Run:  python examples/mechanism_comparison.py
 """
 
-from repro import HarnessConfig, Runner, attack_mixes, compute_metrics, format_table
+from repro import HarnessConfig, attack_mixes, format_table
+from repro.harness.experiments import assemble_mix_rows, mix_sweep_jobs
+from repro.harness.parallel import mix_key, run_jobs
 from repro.mitigations.registry import PAPER_MECHANISMS
 
 
 def main() -> None:
     hcfg = HarnessConfig(scale=128, paper_nrh=32768, instructions_per_thread=80_000)
-    runner = Runner(hcfg)
     mix = attack_mixes(1)[0]
     print(f"workload: attacker + {', '.join(mix.app_names[1:])}\n")
 
-    baseline = runner.run_mix(mix, "none")
-    shared, alone = runner.benign_ipc_maps(mix, baseline)
-    base_metrics = compute_metrics(shared, alone)
-    base_energy = baseline.energy.total_j
+    # One baseline run, one run per mechanism, and the benign threads'
+    # alone runs the speedup metrics normalize against.
+    results = run_jobs(mix_sweep_jobs(hcfg, [mix], PAPER_MECHANISMS))
+    baseline = results[mix_key(hcfg, mix, "none")]
 
     rows = [["none (baseline)", 1.0, 1.0, 0, baseline.bitflips]]
-    for name in PAPER_MECHANISMS:
-        outcome = runner.run_mix(mix, name)
-        shared, alone = runner.benign_ipc_maps(mix, outcome)
-        metrics = compute_metrics(shared, alone)
+    for row in assemble_mix_rows(hcfg, [mix], PAPER_MECHANISMS, "attack", results):
         rows.append(
             [
-                name,
-                round(metrics.weighted_speedup / base_metrics.weighted_speedup, 3),
-                round(outcome.energy.total_j / base_energy, 3),
-                outcome.result.victim_refreshes,
-                outcome.bitflips,
+                row.mechanism,
+                round(row.norm.weighted_speedup, 3),
+                round(row.norm_energy, 3),
+                row.victim_refreshes,
+                row.bitflips,
             ]
         )
 

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Fast perf smoke: tiny sweeps through the parallel experiment executor
-# (job pickling, pool fan-out, extractor transport, keyed assembly),
+# (job pickling, pool fan-out, telemetry transport, keyed assembly),
 # through the persistent result cache — one 2-channel job goes through
 # the pool+cache path cold then warm, asserting the warm run performs
 # zero simulations — a cached channel-sweep smoke: the {1,2,4}

@@ -7,7 +7,12 @@ on disk, content-addressed by ``sha256(source_fingerprint + repr(key))``,
 so re-running an unchanged sweep (``fig4``/``fig5``/``chansweep``/
 ``fig6``/``rhli``/``sec84``/``table8``) performs **zero** simulations
 and returns bit-identical rows — floats survive the JSON round-trip
-exactly (``repr`` shortest-round-trip encoding).
+exactly (``repr`` shortest-round-trip encoding).  Every entry carries
+the job's full end-of-run record — results, energy, per-channel
+mechanism telemetry and governor actions — so any driver can be served
+by an entry another driver stored: a ``fig5`` sweep on disk serves the
+``chansweep``, ``rhli`` and ``sec84`` jobs of the same configuration.
+``JobResult.extras`` (a tracing side channel) is not stored.
 
 Invalidation is automatic and conservative: the fingerprint hashes every
 ``repro`` source file, so *any* simulator change misses the whole cache.
@@ -32,13 +37,14 @@ from repro.dram.device import CommandCounts
 from repro.dram.rowhammer import BitFlip
 from repro.energy.drampower import EnergyBreakdown
 from repro.mem.controller import ThreadMemStats
+from repro.mitigations.base import MechanismTelemetry
 from repro.sim.stats import ChannelResult, SimResult, ThreadResult
 
 #: Default on-disk location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Bump when the JSON layout changes (old entries are ignored).
-_FORMAT = 1
+_FORMAT = 2
 
 
 @lru_cache(maxsize=1)
@@ -106,32 +112,6 @@ def _decode_result(data: dict) -> SimResult:
     )
 
 
-def _decode_delay_stats(data: dict):
-    from repro.core.rowblocker import DelayStats
-
-    return DelayStats(**data)
-
-
-#: Extras codecs by extractor name: (encode, decode).  Every extractor
-#: in :data:`repro.harness.parallel.EXTRACTORS` must be registered here
-#: — enforced by an import-time check in that module — otherwise jobs
-#: requesting it would be silently uncacheable.
-_EXTRA_CODECS = {
-    "thread_rhli": (lambda v: v, lambda v: v),
-    "delay_stats": (dataclasses.asdict, _decode_delay_stats),
-    # Plain lists/dicts of JSON scalars: floats survive the round-trip
-    # exactly (repr shortest-round-trip encoding), so identity works.
-    "channel_attribution": (lambda v: v, lambda v: v),
-    # Governor.actions_summary() is JSON-safe by contract (lists of
-    # scalars, string keys); ungoverned runs store None.
-    "governor_actions": (lambda v: v, lambda v: v),
-}
-
-#: Extractor names the cache can round-trip (see the check in
-#: ``repro.harness.parallel``).
-CACHEABLE_EXTRAS = frozenset(_EXTRA_CODECS)
-
-
 class ResultCache:
     """Content-addressed on-disk store of finished :class:`JobResult`\\ s.
 
@@ -175,8 +155,7 @@ class ResultCache:
     def get(self, job):
         """The cached :class:`JobResult` for ``job``, or None.
 
-        A hit requires the fingerprint and key to match exactly and the
-        stored extras to cover everything ``job.extract`` requests.
+        A hit requires the format, fingerprint and key to match exactly.
         Corrupt entries — truncated or garbage JSON, or JSON whose
         decode blows up — are **quarantined** (renamed to ``*.corrupt``)
         and counted in :attr:`corrupt`, so they stop being re-parsed on
@@ -202,22 +181,17 @@ class ResultCache:
             data.get("format") != _FORMAT
             or data.get("fingerprint") != self.fingerprint
             or data.get("key") != repr(job.key)
-            or not set(job.extract) <= set(data.get("extras", {}))
         ):
             self.misses += 1
             return None
         try:
-            extras = {
-                name: _EXTRA_CODECS[name][1](value)
-                for name, value in data["extras"].items()
-                if name in _EXTRA_CODECS
-            }
             result = JobResult(
                 key=job.key,
                 mechanism_name=data["mechanism_name"],
                 result=_decode_result(data["result"]),
                 energy=EnergyBreakdown(**data["energy"]),
-                extras=extras,
+                telemetry=[MechanismTelemetry(**t) for t in data["telemetry"]],
+                governor_actions=data["governor_actions"],
             )
         except (KeyError, TypeError, ValueError):
             # Schema-valid envelope around a mangled payload (e.g. a
@@ -245,13 +219,7 @@ class ResultCache:
                 pass
 
     def put(self, job, result) -> None:
-        """Store a finished job (atomic write; unknown extras are
-        skipped rather than failing the run)."""
-        extras = {
-            name: _EXTRA_CODECS[name][0](value)
-            for name, value in result.extras.items()
-            if name in _EXTRA_CODECS
-        }
+        """Store a finished job (atomic write)."""
         data = {
             "format": _FORMAT,
             "fingerprint": self.fingerprint,
@@ -259,7 +227,10 @@ class ResultCache:
             "mechanism_name": result.mechanism_name,
             "result": dataclasses.asdict(result.result),
             "energy": dataclasses.asdict(result.energy),
-            "extras": extras,
+            "telemetry": [dataclasses.asdict(t) for t in result.telemetry],
+            # Governor.actions_summary() is JSON-safe by contract (lists
+            # of scalars, string keys); ungoverned runs store None.
+            "governor_actions": result.governor_actions,
         }
         self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(job)

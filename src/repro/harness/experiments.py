@@ -31,6 +31,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, replace as dataclass_replace
 
+from repro.core.config import BlockHammerConfig
 from repro.harness.parallel import (
     JobResult,
     SimJob,
@@ -43,6 +44,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.runner import HarnessConfig, Runner
 from repro.metrics.speedup import MultiprogramMetrics, compute_metrics
+from repro.mitigations.base import max_thread_rhli, sum_counters
 from repro.mitigations.registry import PAPER_MECHANISMS
 from repro.os.spec import GovernorSpec
 from repro.utils.validation import require
@@ -168,7 +170,6 @@ def mix_sweep_jobs(
     hcfg: HarnessConfig,
     mixes: list[WorkloadMix],
     mechanisms: list[str],
-    extract: tuple[str, ...] = (),
 ) -> list[SimJob]:
     """Jobs for a (mix × mechanism) sweep: the shared baseline run, one
     run per mechanism, and the benign alone-IPC runs.  Alone runs are
@@ -180,7 +181,7 @@ def mix_sweep_jobs(
     for mix in mixes:
         jobs.append(mix_job(hcfg, mix, "none"))
         for mechanism in mechanisms:
-            jobs.append(mix_job(hcfg, mix, mechanism, extract=extract))
+            jobs.append(mix_job(hcfg, mix, mechanism))
         for slot, app in enumerate(mix.app_names):
             if slot in mix.attacker_threads:
                 continue
@@ -368,8 +369,8 @@ def assemble_attribution_rows(
     results: dict,
     layout: str = "interleaved",
 ) -> list[dict]:
-    """Per-channel attribution rows from executed mix-sweep jobs whose
-    mechanism runs requested the ``channel_attribution`` extractor.
+    """Per-channel attribution rows from executed mix-sweep jobs, read
+    from each mechanism run's per-channel ``telemetry``.
 
     One row per (mix, mechanism, channel): per-thread RHLI split into
     attacker/benign maxima, blacklist and delay event counts
@@ -389,8 +390,7 @@ def assemble_attribution_rows(
             outcome = results[mix_key(hcfg, mix, mechanism)]
             if failed(base) or failed(outcome):
                 continue  # no per-channel data to attribute
-            for entry in outcome.extras.get("channel_attribution", []):
-                channel = entry["channel"]
+            for channel, telemetry in enumerate(outcome.telemetry):
                 mech_stats = _thread_channel_stats(outcome.result, channel)
                 base_stats = _thread_channel_stats(base.result, channel)
                 slowdowns = [
@@ -401,7 +401,7 @@ def assemble_attribution_rows(
                     )
                     for m, b in zip(mech_stats, base_stats)
                 ]
-                rhli = entry["thread_rhli"]
+                rhli = telemetry.thread_rhli
                 benign_slots = [
                     t for t in range(len(mech_stats)) if t not in mix.attacker_threads
                 ]
@@ -424,10 +424,10 @@ def assemble_attribution_rows(
                             if rhli is not None
                             else None
                         ),
-                        "blacklisted_acts": entry["blacklisted_acts"],
-                        "total_acts": entry["total_acts"],
-                        "delayed_acts": entry["delayed_acts"],
-                        "false_positive_acts": entry["false_positive_acts"],
+                        "blacklisted_acts": telemetry.blacklisted_acts,
+                        "total_acts": telemetry.total_acts,
+                        "delayed_acts": telemetry.delayed_acts,
+                        "false_positive_acts": telemetry.false_positive_acts,
                         "blocked_injections": outcome.result.channels[
                             channel
                         ].blocked_injections,
@@ -468,20 +468,14 @@ def channel_scaling_jobs(
     point.  Jobs are keyed by their per-point configuration, so the
     batch dedups anything shared in-process and the persistent result
     cache dedups across runs: re-running the sweep is fully warm, and a
-    ``--channels 1`` fig5 sweep already on disk serves this driver's
-    single-channel baseline and alone-IPC jobs (the mechanism runs
-    re-execute once to add the ``channel_attribution`` extra, which a
-    cache hit must cover)."""
+    ``--channels 1`` fig5 sweep already on disk serves every job of this
+    driver's single-channel point."""
     jobs: list[SimJob] = []
     for channels in channel_counts:
         point = dataclass_replace(hcfg, num_channels=channels)
         for _, benign, attack in _point_layouts(channels, layouts):
-            jobs += mix_sweep_jobs(
-                point, benign, mechanisms, extract=("channel_attribution",)
-            )
-            jobs += mix_sweep_jobs(
-                point, attack, mechanisms, extract=("channel_attribution",)
-            )
+            jobs += mix_sweep_jobs(point, benign, mechanisms)
+            jobs += mix_sweep_jobs(point, attack, mechanisms)
     return jobs
 
 
@@ -595,21 +589,12 @@ def os_sweep_jobs(
     """One job per (mix × mechanism × policy); the ``none`` policy rows
     double as the no-governor baselines the slowdown column normalizes
     against, so they are declared whether or not requested."""
-    extract = ("thread_rhli", "governor_actions")
-    jobs = []
-    for mix in mixes:
-        for mechanism in mechanisms:
-            for policy in dict.fromkeys(["none", *policies]):
-                jobs.append(
-                    mix_job(
-                        hcfg,
-                        mix,
-                        mechanism,
-                        extract=extract,
-                        governor=OS_SWEEP_POLICIES[policy],
-                    )
-                )
-    return jobs
+    return [
+        mix_job(hcfg, mix, mechanism, governor=OS_SWEEP_POLICIES[policy])
+        for mix in mixes
+        for mechanism in mechanisms
+        for policy in dict.fromkeys(["none", *policies])
+    ]
 
 
 def os_policy_sweep(
@@ -679,8 +664,8 @@ def os_policy_sweep(
                         }
                     )
                     continue
-                rhli = outcome.extras["thread_rhli"]
-                actions = outcome.extras["governor_actions"]
+                rhli = max_thread_rhli(outcome.telemetry, len(mix.app_names))
+                actions = outcome.governor_actions
                 killed = (
                     {thread for thread, _ in actions["kills"]} if actions else set()
                 )
@@ -775,11 +760,7 @@ def rhli_experiment(
     """
     modes = ("blockhammer-observe", "blockhammer")
     mixes = mixes if mixes is not None else attack_mixes(num_mixes)
-    jobs = [
-        mix_job(hcfg, mix, mode, extract=("thread_rhli",))
-        for mode in modes
-        for mix in mixes
-    ]
+    jobs = [mix_job(hcfg, mix, mode) for mode in modes for mix in mixes]
     results = run_jobs(jobs, **execution)
     rows = []
     for mode in modes:
@@ -789,7 +770,7 @@ def rhli_experiment(
             entry = results[mix_key(hcfg, mix, mode)]
             if failed(entry):
                 continue  # excluded from the mode's statistics
-            rhli = entry.extras["thread_rhli"]
+            rhli = max_thread_rhli(entry.telemetry, len(mix.app_names))
             for slot in range(len(mix.app_names)):
                 if slot in mix.attacker_threads:
                     attacker_rhli.append(rhli[slot])
@@ -816,11 +797,10 @@ def sec84_internals(
     **execution,
 ) -> dict:
     """BlockHammer's false-positive rate and delay percentiles over
-    benign multiprogrammed workloads."""
+    benign multiprogrammed workloads, next to the tDelay bound of the
+    configuration BlockHammer derives for ``hcfg``."""
     mixes = benign_mixes(num_mixes)
-    jobs = [
-        mix_job(hcfg, mix, "blockhammer", extract=("delay_stats",)) for mix in mixes
-    ]
+    jobs = [mix_job(hcfg, mix, "blockhammer") for mix in mixes]
     results = run_jobs(jobs, **execution)
     total_acts = 0
     fp_acts = 0
@@ -829,11 +809,18 @@ def sec84_internals(
         entry = results[mix_key(hcfg, mix, "blockhammer")]
         if failed(entry):
             continue  # excluded from the aggregate statistics
-        stats = entry.extras["delay_stats"]
-        total_acts += stats.total_acts
-        fp_acts += stats.false_positive_acts
-        delays.extend(stats.false_positive_delays_ns)
+        counters = sum_counters(entry.telemetry)
+        total_acts += counters["total_acts"]
+        fp_acts += counters["false_positive_acts"]
+        for telemetry in entry.telemetry:
+            delays.extend(telemetry.false_positive_delays_ns)
     delays.sort()
+    config = BlockHammerConfig.for_nrh(
+        hcfg.sim_nrh,
+        hcfg.spec(),
+        blast_radius=hcfg.blast_radius,
+        blast_decay=hcfg.blast_decay,
+    )
 
     def pct(p: float) -> float:
         if not delays:
@@ -847,7 +834,7 @@ def sec84_internals(
         "fp_delay_p50_ns": pct(50),
         "fp_delay_p90_ns": pct(90),
         "fp_delay_p100_ns": delays[-1] if delays else 0.0,
-        "t_delay_ns": None,  # filled by callers that know the config
+        "t_delay_ns": config.t_delay_ns,
     }
 
 

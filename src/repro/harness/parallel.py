@@ -6,12 +6,11 @@ simulations — (app × mechanism), (mix × scenario × mechanism),
 job lists that fan out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
 
 * :class:`SimJob` — a picklable, self-contained description of one
-  simulation (configuration + workload + mechanism + which mechanism
-  statistics to extract).  Jobs carry a deterministic ``key``; jobs with
-  equal keys are executed once and shared (this is how the Runner's
-  alone-IPC cache generalizes across processes: every "app running
-  alone on the baseline" run is a job keyed by (config, app, slot) and
-  deduplicated across mixes, scenarios, and mechanisms).
+  simulation (configuration + workload + mechanism).  Jobs carry a
+  deterministic ``key``; jobs with equal keys are executed once and
+  shared (every "app running alone on the baseline" run is a job keyed
+  by (config, app, slot) and deduplicated across mixes, scenarios, and
+  mechanisms).
 * :func:`run_jobs` — executes a job list, in worker processes when
   ``workers > 1`` and serially otherwise, and returns results keyed by
   job key.  Result assembly is therefore order-independent: drivers
@@ -47,9 +46,11 @@ tests them):
   them as ``-`` rows) instead of raising :class:`JobExecutionError`.
 
 Mechanism objects hold closures (the adjacency oracle) and cannot cross
-a process boundary; anything a driver needs from the mechanism after
-the run is declared up front via ``SimJob.extract`` and computed inside
-the worker (see :data:`EXTRACTORS`).
+a process boundary; every job instead returns the same end-of-run
+record of them, taken inside the worker: one
+:class:`~repro.mitigations.base.MechanismTelemetry` per channel
+(``JobResult.telemetry``) and the OS governor's action summary
+(``JobResult.governor_actions``).
 """
 
 from __future__ import annotations
@@ -63,111 +64,18 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from repro.energy.drampower import EnergyBreakdown
-from repro.harness.cache import CACHEABLE_EXTRAS, ResultCache
+from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan, SimulatedCrash
 from repro.harness.retry import ExecPolicy
-from repro.harness.runner import HarnessConfig, Runner, RunOutcome
+from repro.harness.runner import HarnessConfig, Runner
+from repro.mitigations.base import MechanismTelemetry
 from repro.mitigations.registry import available_mitigations
 from repro.obs.profile import JobProfile
 from repro.os.spec import GovernorSpec
 from repro.sim.stats import SimResult
-from repro.utils.aggregate import merge_fields
 from repro.workloads.mixes import DEFAULT_MIX_THREADS, WorkloadMix
 
 JobKey = tuple
-
-
-def _extract_delay_stats(outcome: RunOutcome):
-    """BlockHammer's Section 8.4 delay statistics, merged over the
-    per-channel mechanism instances (counter sums, delay-list concat)."""
-    parts = [mechanism.delay_stats() for mechanism in outcome.mechanisms]
-    if len(parts) == 1:
-        return parts[0]
-    from repro.core.rowblocker import DelayStats
-
-    merged = DelayStats()
-    for part in parts:
-        merge_fields(merged, part)  # counters sum, delay lists concat
-    return merged
-
-
-def _extract_thread_rhli(outcome: RunOutcome) -> list[float | None]:
-    """Per-thread maximum RHLI at end of run (Section 3.2.1), maxed over
-    the per-channel mechanism instances (the paper's RHLI is the worst
-    exposure anywhere in the system).  Threads report ``None`` when no
-    channel's mechanism tracks RHLI (reactive baselines in the governor
-    sweeps) — the BlockHammer-family sweeps always get floats."""
-    out: list[float | None] = []
-    for thread in range(len(outcome.result.threads)):
-        values = [
-            mechanism.thread_max_rhli(thread)
-            for mechanism in outcome.mechanisms
-            if hasattr(mechanism, "thread_max_rhli")
-        ]
-        out.append(max(values) if values else None)
-    return out
-
-
-def _extract_channel_attribution(outcome: RunOutcome) -> list[dict]:
-    """Mechanism-side per-channel attribution rows (the BreakHammer
-    direction: localize which channel accrues RHLI and throttling).
-
-    One dict per channel, straight from the mechanism's OS telemetry
-    snapshot (:meth:`~repro.mitigations.base.MitigationMechanism.os_telemetry`
-    — the same duck-typed interface the OS governor samples):
-    ``thread_rhli`` (per-thread maximum RHLI on that channel's
-    mechanism instance, ``None`` for mechanisms without RHLI tracking),
-    ``blacklisted_acts`` (AttackThrottler events), and the RowBlocker
-    delay counters (``total_acts``/``delayed_acts``/
-    ``false_positive_acts``; zero for mechanisms without delay stats).
-    Controller-side throttle events (blocked injections) live on
-    :class:`~repro.sim.stats.ChannelResult` instead.  Aggregation
-    contract: counters sum across channels, RHLI maxes — mirrored by
-    :func:`_extract_thread_rhli` and asserted by the attribution tests.
-    """
-    rows = []
-    for channel, mechanism in enumerate(outcome.mechanisms):
-        telemetry = mechanism.os_telemetry()
-        rows.append(
-            {
-                "channel": channel,
-                "thread_rhli": telemetry.thread_rhli,
-                "blacklisted_acts": telemetry.blacklisted_acts,
-                "total_acts": telemetry.total_acts,
-                "delayed_acts": telemetry.delayed_acts,
-                "false_positive_acts": telemetry.false_positive_acts,
-            }
-        )
-    return rows
-
-
-def _extract_governor_actions(outcome: RunOutcome) -> dict | None:
-    """The OS governor's action record (``None`` for ungoverned runs):
-    review-epoch count, kill/migration logs, and quota-scale state —
-    plain lists of scalars so the result cache round-trips it exactly."""
-    if outcome.governor is None:
-        return None
-    return outcome.governor.actions_summary()
-
-
-#: Named, picklable-result extractors applied to the finished run
-#: inside the worker process.
-EXTRACTORS = {
-    "delay_stats": _extract_delay_stats,
-    "thread_rhli": _extract_thread_rhli,
-    "channel_attribution": _extract_channel_attribution,
-    "governor_actions": _extract_governor_actions,
-}
-
-# Every extractor must have a cache codec, or jobs requesting it would
-# be silently uncacheable (each re-run would miss and re-simulate).
-# Fail loudly at import time instead.
-_UNCACHEABLE = set(EXTRACTORS) - CACHEABLE_EXTRAS
-if _UNCACHEABLE:
-    raise RuntimeError(
-        f"extractors without a cache codec in repro.harness.cache: "
-        f"{sorted(_UNCACHEABLE)}"
-    )
 
 
 @dataclass(frozen=True)
@@ -186,7 +94,7 @@ class SimJob:
 
     ``key`` must be hashable, deterministic, and unique per distinct
     simulation; jobs with equal keys are deduplicated by
-    :func:`run_jobs` (their ``extract`` tuples are unioned).
+    :func:`run_jobs`.
     """
 
     key: JobKey
@@ -202,7 +110,6 @@ class SimJob:
     #: frozen spec rather than a live Governor so the job stays
     #: picklable and the cache can key on its repr.
     governor: GovernorSpec | None = None
-    extract: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in ("single", "mix"):
@@ -218,19 +125,27 @@ class SimJob:
             raise ValueError("mix jobs need a WorkloadMix")
         if self.kind == "single" and self.governor is not None:
             raise ValueError("governors apply to mix jobs only")
-        for name in self.extract:
-            if name not in EXTRACTORS:
-                raise ValueError(f"unknown extractor {name!r}")
 
 
 @dataclass
 class JobResult:
-    """The picklable outcome of one :class:`SimJob`."""
+    """The picklable outcome of one :class:`SimJob`.
+
+    Every job carries the same end-of-run record of its mechanisms:
+    ``telemetry`` holds one snapshot per channel (aggregate it with
+    :func:`~repro.mitigations.base.max_thread_rhli` and
+    :func:`~repro.mitigations.base.sum_counters`), and
+    ``governor_actions`` is ``Governor.actions_summary()``, ``None``
+    for an ungoverned run.  ``extras`` is a side channel for tracing
+    tools; the result cache does not store it.
+    """
 
     key: JobKey
     mechanism_name: str
     result: SimResult
     energy: EnergyBreakdown
+    telemetry: list[MechanismTelemetry] = field(default_factory=list)
+    governor_actions: dict | None = None
     extras: dict = field(default_factory=dict)
 
     @property
@@ -333,13 +248,15 @@ def execute_job(job: SimJob) -> JobResult:
         )
     else:
         outcome = runner.run_mix(job.mix, job.mechanism, governor=job.governor)
-    extras = {name: EXTRACTORS[name](outcome) for name in job.extract}
     return JobResult(
         key=job.key,
         mechanism_name=outcome.mechanism_name,
         result=outcome.result,
         energy=outcome.energy,
-        extras=extras,
+        telemetry=[mechanism.os_telemetry() for mechanism in outcome.mechanisms],
+        governor_actions=(
+            outcome.governor.actions_summary() if outcome.governor is not None else None
+        ),
     )
 
 
@@ -347,24 +264,13 @@ def execute_job(job: SimJob) -> JobResult:
 # The executor.
 # ----------------------------------------------------------------------
 def dedupe_jobs(jobs: list[SimJob]) -> list[SimJob]:
-    """Unique jobs in first-occurrence order.
-
-    Jobs sharing a key must describe the same simulation; their
-    ``extract`` tuples are unioned so one run serves every consumer.
-    """
+    """Unique jobs in first-occurrence order; jobs sharing a key must
+    be equal (describe the same simulation)."""
     unique: dict[JobKey, SimJob] = {}
     for job in jobs:
-        existing = unique.get(job.key)
-        if existing is None:
-            unique[job.key] = job
-            continue
-        if replace(existing, extract=()) != replace(job, extract=()):
+        existing = unique.setdefault(job.key, job)
+        if existing != job:
             raise ValueError(f"job key {job.key!r} reused for a different simulation")
-        if job.extract != existing.extract:
-            merged = existing.extract + tuple(
-                name for name in job.extract if name not in existing.extract
-            )
-            unique[job.key] = replace(existing, extract=merged)
     return list(unique.values())
 
 
@@ -872,7 +778,6 @@ def single_job(
     app: str,
     mechanism: str = "none",
     slot: int = 0,
-    extract: tuple[str, ...] = (),
     pinned: int | None = None,
     threads: int = DEFAULT_MIX_THREADS,
 ) -> SimJob:
@@ -885,7 +790,6 @@ def single_job(
         slot=slot,
         pinned=pinned,
         threads=threads,
-        extract=extract,
     )
 
 
@@ -893,7 +797,6 @@ def mix_job(
     hcfg: HarnessConfig,
     mix: WorkloadMix,
     mechanism: str = "none",
-    extract: tuple[str, ...] = (),
     governor: GovernorSpec | None = None,
 ) -> SimJob:
     return SimJob(
@@ -903,5 +806,4 @@ def mix_job(
         mechanism=mechanism,
         mix=mix,
         governor=governor,
-        extract=extract,
     )

@@ -5,15 +5,14 @@ substitution 3) and the *paper-scale* RowHammer threshold; everything
 downstream — the disturbance model, every mechanism's context, and
 BlockHammer's Table 7 configuration — sees the consistently-scaled
 ``sim_nrh``.  The :class:`Runner` executes single-application and
-multiprogrammed workloads, caching alone-run IPCs (needed by the
-weighted/harmonic speedup and maximum slowdown metrics) per application
-instance.
+multiprogrammed workloads; the alone runs behind the multiprogram
+metrics are ``single`` jobs of :mod:`repro.harness.parallel`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from repro.cpu.core import CoreParams
@@ -174,8 +173,7 @@ class RunOutcome:
     #: Per-channel DRAM command traces, only when the runner was built
     #: with ``capture_commands`` (differential scheduler testing).
     command_logs: tuple[list, ...] | None = None
-    #: The OS governor this run executed under (None = no governor); the
-    #: ``governor_actions`` extractor reads its action log.
+    #: The OS governor this run executed under (None = no governor).
     governor: Governor | None = None
 
     @property
@@ -216,7 +214,6 @@ class Runner:
         self.policy = policy
         self.capture_commands = capture_commands
         self.obs = obs
-        self._alone_ipc_cache: dict[tuple, float] = {}
 
     # ------------------------------------------------------------------
     def _build_system(
@@ -349,34 +346,6 @@ class Runner:
             governor=governor,
             **mechanism_kwargs,
         )
-
-    # ------------------------------------------------------------------
-    def alone_ipc(self, mix: WorkloadMix, slot: int) -> float:
-        """IPC of the mix's ``slot`` thread running alone on the baseline
-        system (cached across mechanisms and scenarios)."""
-        app = mix.app_names[slot]
-        pinned = mix.pinned_channel(slot)
-        threads = len(mix.app_names)
-        key = (app, self.hcfg.seed + slot, slot, pinned, threads)
-        if key not in self._alone_ipc_cache:
-            outcome = self.run_single(
-                app, "none", slot=slot, pinned=pinned, threads=threads
-            )
-            self._alone_ipc_cache[key] = outcome.result.threads[0].ipc
-        return self._alone_ipc_cache[key]
-
-    def benign_ipc_maps(
-        self, mix: WorkloadMix, outcome: RunOutcome
-    ) -> tuple[dict[int, float], dict[int, float]]:
-        """(shared, alone) IPC maps over the mix's benign threads."""
-        shared: dict[int, float] = {}
-        alone: dict[int, float] = {}
-        for slot in range(len(mix.app_names)):
-            if slot in mix.attacker_threads:
-                continue
-            shared[slot] = outcome.result.threads[slot].ipc
-            alone[slot] = self.alone_ipc(mix, slot)
-        return shared, alone
 
     # ------------------------------------------------------------------
     def _benign_trace(

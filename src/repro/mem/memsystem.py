@@ -7,8 +7,9 @@ BlockHammer is specified per channel (Section 3), so mitigation state is
 never shared across channels.  Requests are routed by the channel bits
 the :class:`~repro.dram.address.AddressMapping` decoded into the
 address; statistics are reported both per channel and aggregated
-(bandwidth/energy counters sum, RHLI maxes — see the harness
-extractors).
+(bandwidth/energy counters sum; mechanism telemetry aggregates by
+:func:`~repro.mitigations.base.sum_counters` and
+:func:`~repro.mitigations.base.max_thread_rhli`).
 
 Per-channel refresh schedules are phase-staggered: channel 0 keeps the
 canonical phase (so single-channel systems are bit-identical to the
@@ -158,8 +159,8 @@ class MemorySystem:
             device.finalize_active_time(end_time)
 
     # ------------------------------------------------------------------
-    # Aggregation (RHLI maxes over channels in the harness extractors;
-    # command/bandwidth/energy counters sum here).
+    # Aggregation (command/bandwidth/energy counters sum here; RHLI is
+    # mechanism telemetry, see os_telemetry below).
     # ------------------------------------------------------------------
     def merged_thread_stats(self) -> list[ThreadMemStats]:
         """Per-thread statistics aggregated across channels.  With one

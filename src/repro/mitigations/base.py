@@ -28,10 +28,13 @@ Mechanisms additionally expose read-only **OS telemetry**
 (:meth:`MitigationMechanism.os_telemetry`): the per-thread signals an
 operating-system governor (:mod:`repro.os`) samples each scheduling
 epoch — RHLI where the mechanism tracks it (Section 3.2.3), plus
-blacklist/delay event counters.  The base implementation duck-types on
-the attributes a mechanism actually has (mirroring the harness's
-``channel_attribution`` extractor), so reactive baselines degrade
-gracefully to "no signal" instead of every mechanism having to opt in.
+blacklist/delay event counters.  The same snapshot, taken once per
+channel at the end of a run, is the telemetry every harness job
+returns.  The base implementation duck-types on the attributes a
+mechanism actually has, so reactive baselines degrade gracefully to
+"no signal" instead of every mechanism having to opt in.  Snapshots
+aggregate across channels by two rules, :func:`max_thread_rhli` and
+:func:`sum_counters`.
 """
 
 from __future__ import annotations
@@ -77,9 +80,9 @@ class MechanismTelemetry:
 
     ``thread_rhli`` is ``None`` for mechanisms without RHLI tracking
     (every baseline except the BlockHammer family); the event counters
-    are zero where the mechanism has no corresponding hardware.  An OS
-    governor aggregates snapshots across channels with the standing
-    contract: counters sum, RHLI maxes.
+    are zero where the mechanism has no corresponding hardware.
+    Snapshots aggregate across channels with :func:`max_thread_rhli`
+    and :func:`sum_counters`.
     """
 
     #: Per-thread maximum RHLI on this instance (None = not tracked).
@@ -90,6 +93,30 @@ class MechanismTelemetry:
     total_acts: int = 0
     delayed_acts: int = 0
     false_positive_acts: int = 0
+    #: The delay imposed on each mistakenly-delayed ACT (Section 8.4).
+    false_positive_delays_ns: list[float] = field(default_factory=list)
+
+
+#: The :class:`MechanismTelemetry` event counters.
+_COUNTERS = ("blacklisted_acts", "total_acts", "delayed_acts", "false_positive_acts")
+
+
+def max_thread_rhli(
+    snapshots: list[MechanismTelemetry], num_threads: int
+) -> list[float | None]:
+    """Per-thread RHLI across channels: the maximum over the channels
+    that track it (the paper's RHLI is the worst exposure anywhere),
+    ``None`` where no channel does."""
+    tracked = [snap.thread_rhli for snap in snapshots if snap.thread_rhli is not None]
+    return [
+        max(rhli[thread] for rhli in tracked) if tracked else None
+        for thread in range(num_threads)
+    ]
+
+
+def sum_counters(snapshots: list[MechanismTelemetry]) -> dict[str, int]:
+    """The event counters across channels: each one sums."""
+    return {name: sum(getattr(snap, name) for snap in snapshots) for name in _COUNTERS}
 
 
 class MitigationMechanism:
@@ -258,6 +285,9 @@ class MitigationMechanism:
             delayed_acts=stats.delayed_acts if stats is not None else 0,
             false_positive_acts=(
                 stats.false_positive_acts if stats is not None else 0
+            ),
+            false_positive_delays_ns=(
+                list(stats.false_positive_delays_ns) if stats is not None else []
             ),
         )
 

@@ -149,7 +149,7 @@ class Governor:
             self.probe(self._now, "migrate", 0, thread=thread, channel=channel)
 
     # ------------------------------------------------------------------
-    # Reporting (the ``governor_actions`` extractor; JSON-safe).
+    # Reporting (``JobResult.governor_actions``; JSON-safe).
     # ------------------------------------------------------------------
     def actions_summary(self) -> dict:
         """Plain-data action record: lists of scalars only, so the

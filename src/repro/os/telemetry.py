@@ -1,9 +1,10 @@
 """Telemetry sampling: what an OS governor sees each epoch.
 
 A :class:`TelemetrySample` is a point-in-time view of the signals the
-memory system exposes upward, aggregated across channels under the
-standing contract (counters sum, RHLI maxes — the same rule the
-harness's ``channel_attribution`` extractor asserts):
+memory system exposes upward, aggregated across channels by the two
+rules next to :class:`~repro.mitigations.base.MechanismTelemetry`
+(:func:`~repro.mitigations.base.sum_counters`,
+:func:`~repro.mitigations.base.max_thread_rhli`):
 
 * per-thread rows (:class:`ThreadTelemetry`): maximum RHLI across
   channels plus the per-channel split, controller-side blocked
@@ -26,7 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.mitigations.base import MechanismTelemetry
+from repro.mitigations.base import (
+    MechanismTelemetry,
+    max_thread_rhli,
+    sum_counters,
+)
 
 
 @dataclass
@@ -99,30 +104,30 @@ def sample_telemetry(
     snapshots: list[MechanismTelemetry] = [
         mechanism.os_telemetry() for mechanism in mechanisms
     ]
+    rhli = max_thread_rhli(snapshots, num_threads)
     threads: list[ThreadTelemetry] = []
     for thread in range(num_threads):
-        per_channel = [
-            snap.thread_rhli[thread] if snap.thread_rhli is not None else None
-            for snap in snapshots
-        ]
-        tracked = [value for value in per_channel if value is not None]
         stats = thread_stats[thread]
         threads.append(
             ThreadTelemetry(
                 thread=thread,
-                rhli=max(tracked) if tracked else None,
-                rhli_per_channel=per_channel,
+                rhli=rhli[thread],
+                rhli_per_channel=[
+                    snap.thread_rhli[thread] if snap.thread_rhli is not None else None
+                    for snap in snapshots
+                ],
                 blocked_injections=stats.blocked_injections,
                 quota_blocked=stats.quota_blocked_injections,
                 requests=stats.reads + stats.writes,
             )
         )
+    counters = sum_counters(snapshots)
     return TelemetrySample(
         now=now,
         epoch=epoch,
         num_channels=len(snapshots),
         threads=threads,
-        blacklisted_acts=sum(snap.blacklisted_acts for snap in snapshots),
-        total_acts=sum(snap.total_acts for snap in snapshots),
-        delayed_acts=sum(snap.delayed_acts for snap in snapshots),
+        blacklisted_acts=counters["blacklisted_acts"],
+        total_acts=counters["total_acts"],
+        delayed_acts=counters["delayed_acts"],
     )

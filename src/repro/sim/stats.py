@@ -17,8 +17,8 @@ class ChannelResult:
     ``blocked_injections`` counts requests this channel's controller
     refused at injection time (queue-full plus mitigation in-flight
     quotas — the throttle-event side of per-channel attribution; the
-    mechanism-side counters travel through the ``channel_attribution``
-    extractor in :mod:`repro.harness.parallel`)."""
+    mechanism-side counters travel in ``JobResult.telemetry`` of
+    :mod:`repro.harness.parallel`)."""
 
     channel: int
     counts: CommandCounts
@@ -81,7 +81,8 @@ class SimResult:
     #: identical simulations process identical event streams).
     events_processed: int = 0
     #: One statistics row per memory channel (aggregates above are the
-    #: sums/maxes over these; RHLI maxes live in the harness extractors).
+    #: sums/maxes over these; RHLI is mechanism telemetry, maxed by
+    #: :func:`~repro.mitigations.base.max_thread_rhli`).
     channels: list[ChannelResult] = field(default_factory=list)
 
     @property

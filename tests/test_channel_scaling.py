@@ -27,6 +27,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.experiments import channel_scaling
 from repro.harness.parallel import SweepReport, mix_job, mix_key, run_jobs
 from repro.harness.runner import HarnessConfig
+from repro.mitigations.base import max_thread_rhli, sum_counters
 from repro.workloads.mixes import ATTACKER_THREAD, attack_mixes
 
 GOLDEN = json.loads(
@@ -98,29 +99,23 @@ def test_single_channel_point_bit_identical_to_golden_fig5(golden_hcfg):
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def attributed(rhli_hcfg):
-    """One 2-channel attack mix in observe mode (RHLI-rich) with every
-    attribution-relevant extractor requested."""
+    """One 2-channel attack mix in observe mode (RHLI-rich)."""
     mix = attack_mixes(1)[0]
-    job = mix_job(
-        rhli_hcfg,
-        mix,
-        "blockhammer-observe",
-        extract=("channel_attribution", "thread_rhli", "delay_stats"),
-    )
+    job = mix_job(rhli_hcfg, mix, "blockhammer-observe")
     results = run_jobs([job], workers=1)
     return mix, results[mix_key(rhli_hcfg, mix, "blockhammer-observe")]
 
 
 def test_per_channel_rhli_maxes_to_aggregate(attributed):
     mix, outcome = attributed
-    rows = outcome.extras["channel_attribution"]
-    aggregate = outcome.extras["thread_rhli"]
+    rows = outcome.telemetry
+    aggregate = max_thread_rhli(rows, len(mix.app_names))
     assert len(rows) == 2
     for thread in range(len(mix.app_names)):
-        assert aggregate[thread] == max(r["thread_rhli"][thread] for r in rows)
+        assert aggregate[thread] == max(r.thread_rhli[thread] for r in rows)
     # The observe-mode attacker accrued RHLI on both channels (the
     # channel-aware attack hammers every shard).
-    assert all(r["thread_rhli"][ATTACKER_THREAD] > 0 for r in rows)
+    assert all(r.thread_rhli[ATTACKER_THREAD] > 0 for r in rows)
 
 
 def test_per_channel_counters_sum_to_aggregate(attributed):
@@ -135,26 +130,27 @@ def test_per_channel_counters_sum_to_aggregate(attributed):
             t.mem_per_channel[channel].blocked_injections for t in res.threads
         )
         assert res.channels[channel].blocked_injections == per_thread
-    # Mechanism-side counters: per-channel blacklist/delay events sum to
-    # the channel-merged delay statistics (counters sum, RHLI maxes).
-    rows = outcome.extras["channel_attribution"]
-    merged = outcome.extras["delay_stats"]
-    assert sum(r["total_acts"] for r in rows) == merged.total_acts
-    assert sum(r["delayed_acts"] for r in rows) == merged.delayed_acts
-    assert sum(r["false_positive_acts"] for r in rows) == merged.false_positive_acts
-    assert sum(r["blacklisted_acts"] for r in rows) > 0
+    # Mechanism-side counters: per-channel blacklist/delay events sum
+    # to the channel-merged counters.  Each channel's RowBlocker saw at
+    # least the ACTs its device issued after warmup (its own counters
+    # also cover the warmup).
+    rows = outcome.telemetry
+    for channel, row in enumerate(rows):
+        assert row.total_acts >= res.channels[channel].counts.act > 0
+    merged = sum_counters(rows)
+    assert sum(r.total_acts for r in rows) == merged["total_acts"]
+    assert sum(r.delayed_acts for r in rows) == merged["delayed_acts"]
+    assert sum(r.false_positive_acts for r in rows) == merged["false_positive_acts"]
+    assert merged["blacklisted_acts"] > 0
 
 
 def test_single_channel_attribution_row_is_the_aggregate(tiny_hcfg):
     mix = attack_mixes(1)[0]
-    job = mix_job(
-        tiny_hcfg, mix, "blockhammer", extract=("channel_attribution", "thread_rhli")
-    )
+    job = mix_job(tiny_hcfg, mix, "blockhammer")
     outcome = run_jobs([job], workers=1)[mix_key(tiny_hcfg, mix, "blockhammer")]
-    rows = outcome.extras["channel_attribution"]
+    rows = outcome.telemetry
     assert len(rows) == 1
-    assert rows[0]["thread_rhli"] == outcome.extras["thread_rhli"]
-    assert rows[0]["channel"] == 0
+    assert rows[0].thread_rhli == max_thread_rhli(rows, len(mix.app_names))
     assert (
         outcome.result.channels[0].blocked_injections
         == sum(t.mem.blocked_injections for t in outcome.result.threads)
@@ -165,13 +161,14 @@ def test_attribution_tolerates_mechanisms_without_rhli(tiny_hcfg):
     """Reactive baselines have no RHLI tracking: attribution rows must
     degrade to None/zero, not raise."""
     mix = attack_mixes(1)[0]
-    job = mix_job(tiny_hcfg, mix, "graphene", extract=("channel_attribution",))
+    job = mix_job(tiny_hcfg, mix, "graphene")
     outcome = run_jobs([job], workers=1)[mix_key(tiny_hcfg, mix, "graphene")]
-    rows = outcome.extras["channel_attribution"]
+    rows = outcome.telemetry
     assert len(rows) == 1
-    assert rows[0]["thread_rhli"] is None
-    assert rows[0]["blacklisted_acts"] == 0
-    assert rows[0]["total_acts"] == 0
+    assert rows[0].thread_rhli is None
+    assert rows[0].blacklisted_acts == 0
+    assert rows[0].total_acts == 0
+    assert max_thread_rhli(rows, len(mix.app_names)) == [None] * len(mix.app_names)
 
 
 # ----------------------------------------------------------------------
@@ -180,20 +177,18 @@ def test_attribution_tolerates_mechanisms_without_rhli(tiny_hcfg):
 def test_pinned_attacker_accrues_rhli_only_on_its_channel(rhli_hcfg):
     mix = attack_mixes(1)[0].pinned()
     assert mix.pinned_channel(ATTACKER_THREAD) == 0
-    job = mix_job(
-        rhli_hcfg, mix, "blockhammer-observe", extract=("channel_attribution",)
-    )
+    job = mix_job(rhli_hcfg, mix, "blockhammer-observe")
     outcome = run_jobs([job], workers=1)[
         mix_key(rhli_hcfg, mix, "blockhammer-observe")
     ]
-    rows = outcome.extras["channel_attribution"]
+    rows = outcome.telemetry
     assert len(rows) == 2
     pinned_row = rows[0]
     other_row = rows[1]
-    assert pinned_row["thread_rhli"][ATTACKER_THREAD] > 0
-    assert other_row["thread_rhli"][ATTACKER_THREAD] == 0.0
-    assert pinned_row["blacklisted_acts"] > 0
-    assert other_row["blacklisted_acts"] == 0
+    assert pinned_row.thread_rhli[ATTACKER_THREAD] > 0
+    assert other_row.thread_rhli[ATTACKER_THREAD] == 0.0
+    assert pinned_row.blacklisted_acts > 0
+    assert other_row.blacklisted_acts == 0
     # The attacker's memory traffic itself stayed on channel 0.
     attacker = outcome.result.threads[ATTACKER_THREAD]
     assert attacker.mem_per_channel[0].activations > 0

@@ -118,6 +118,9 @@ def test_sec84_driver_shape(tiny_hcfg):
     assert stats["total_acts"] > 0
     assert 0.0 <= stats["false_positive_rate"] <= 1.0
     assert stats["fp_delay_p100_ns"] >= stats["fp_delay_p50_ns"]
+    # No mistaken delay exceeds the tDelay bound of the run's config.
+    assert stats["t_delay_ns"] > 0
+    assert stats["fp_delay_p100_ns"] <= stats["t_delay_ns"] * 1.001
 
 
 def test_table8_driver_shape(tiny_hcfg):

@@ -50,17 +50,6 @@ def test_single_job_keys_are_stable(tiny_hcfg):
     assert dedupe_jobs([a, b]) == [a]
 
 
-def test_dedupe_merges_extracts(tiny_hcfg):
-    from repro.workloads.mixes import attack_mixes
-
-    mix = attack_mixes(1)[0]
-    a = mix_job(tiny_hcfg, mix, "blockhammer", extract=("thread_rhli",))
-    b = mix_job(tiny_hcfg, mix, "blockhammer", extract=("delay_stats",))
-    merged = dedupe_jobs([a, b])
-    assert len(merged) == 1
-    assert merged[0].extract == ("thread_rhli", "delay_stats")
-
-
 def test_dedupe_rejects_conflicting_reuse(tiny_hcfg):
     a = single_job(tiny_hcfg, "403.gcc")
     b = SimJob(key=a.key, hcfg=tiny_hcfg, kind="single", app="429.mcf")
@@ -73,8 +62,6 @@ def test_job_validation(tiny_hcfg):
         SimJob(key=("x",), hcfg=tiny_hcfg, kind="nope")
     with pytest.raises(ValueError):
         SimJob(key=("x",), hcfg=tiny_hcfg, kind="single")  # no app
-    with pytest.raises(ValueError):
-        single_job(tiny_hcfg, "403.gcc", extract=("no_such_extractor",))
     # Unknown mechanisms fail here, not after the retry ladder in a
     # worker; the retired BlockHammer-plus-kill-governor name included.
     for name in ("blockhammer-0s", "blockhammer-os"):
@@ -177,7 +164,7 @@ def test_interrupt_is_silent_without_progress(tiny_hcfg, monkeypatch, capsys):
 @pytest.mark.perf_smoke
 def test_perf_smoke_parallel_path(tiny_hcfg):
     """A minimal sweep through the pool-backed executor: exercises job
-    pickling, worker fan-out, extractor transport, and keyed assembly."""
+    pickling, worker fan-out, telemetry transport, and keyed assembly."""
     jobs = [
         single_job(tiny_hcfg, "403.gcc", "none"),
         single_job(tiny_hcfg, "403.gcc", "blockhammer"),
@@ -195,12 +182,17 @@ def test_perf_smoke_parallel_path(tiny_hcfg):
 
 @pytest.mark.perf_smoke
 def test_perf_smoke_extractors_cross_process(tiny_hcfg):
+    """Every job's end-of-run telemetry record comes back from a pool
+    worker intact."""
     from repro.workloads.mixes import attack_mixes
 
     mix = attack_mixes(1)[0]
-    job = mix_job(tiny_hcfg, mix, "blockhammer", extract=("thread_rhli", "delay_stats"))
-    results = run_jobs([job], workers=2)
+    job = mix_job(tiny_hcfg, mix, "blockhammer")
+    # Two jobs, so the sweep actually fans out over the pool.
+    results = run_jobs([mix_job(tiny_hcfg, mix, "none"), job], workers=2)
     res = results[job.key]
-    rhli = res.extras["thread_rhli"]
-    assert len(rhli) == len(mix.app_names)
-    assert res.extras["delay_stats"].total_acts > 0
+    assert res.telemetry == execute_job(job).telemetry
+    assert len(res.telemetry) == 1
+    assert len(res.telemetry[0].thread_rhli) == len(mix.app_names)
+    assert res.telemetry[0].total_acts > 0
+    assert res.governor_actions is None

@@ -10,12 +10,13 @@ round-trip.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache, source_fingerprint
-from repro.harness.experiments import fig5_multicore
+from repro.harness.experiments import OS_SWEEP_POLICIES, channel_scaling, fig5_multicore
 from repro.harness.parallel import (
     SweepReport,
     execute_job,
@@ -40,20 +41,28 @@ def hcfg2() -> HarnessConfig:
 # ----------------------------------------------------------------------
 def test_job_result_json_roundtrip_exact(tmp_path, hcfg2):
     cache = ResultCache(tmp_path)
+    # Warmup long enough for the attacker to accrue RHLI and be killed.
+    hcfg = dataclasses.replace(hcfg2, warmup_ns=50_000.0)
     job = mix_job(
-        hcfg2, attack_mixes(1)[0], "blockhammer", extract=("thread_rhli", "delay_stats")
+        hcfg, attack_mixes(1)[0], "blockhammer-observe", governor=OS_SWEEP_POLICIES["kill"]
     )
     fresh = execute_job(job)
+    # Non-trivial telemetry on both channels and a governor that acted.
+    assert len(fresh.telemetry) == 2
+    assert all(t.total_acts > 0 and t.thread_rhli[0] > 0 for t in fresh.telemetry)
+    assert fresh.governor_actions["kills"]
+    fresh.extras["tracer"] = {}  # a tracer's side channel: not stored
     cache.put(job, fresh)
     cached = cache.get(job)
     assert cached is not None
     # Dataclass equality is recursive and float-exact: threads, memory
-    # stats, per-channel rows, bit-flips, energy, extras.
+    # stats, per-channel rows, bit-flips, energy, telemetry.
     assert cached.result == fresh.result
     assert cached.energy == fresh.energy
     assert cached.mechanism_name == fresh.mechanism_name
-    assert cached.extras["thread_rhli"] == fresh.extras["thread_rhli"]
-    assert cached.extras["delay_stats"] == fresh.extras["delay_stats"]
+    assert cached.telemetry == fresh.telemetry
+    assert cached.governor_actions == fresh.governor_actions
+    assert cached.extras == {}
     assert cached.key == job.key
 
 
@@ -109,18 +118,20 @@ def test_different_jobs_do_not_collide(tmp_path, hcfg2):
     assert cache.get(b) is None
 
 
-def test_extras_must_cover_request(tmp_path, hcfg2):
-    mix = attack_mixes(1)[0]
-    bare = mix_job(hcfg2, mix, "blockhammer")
+def test_fig5_cache_serves_channel_scaling(tmp_path):
+    """Every entry carries the full end-of-run record, so a fig5 sweep
+    on disk serves the channel-scaling driver at the same channel count
+    without a single simulation."""
+    hcfg = HarnessConfig(
+        scale=128.0, instructions_per_thread=4_000, warmup_ns=5_000.0, num_channels=1
+    )
     cache = ResultCache(tmp_path)
-    cache.put(bare, execute_job(bare))
-    # The cached entry has no extras: a job requesting them must miss
-    # (and re-run), never silently return a result without them.
-    wanting = mix_job(hcfg2, mix, "blockhammer", extract=("thread_rhli",))
-    assert cache.get(wanting) is None
-    cache.put(wanting, execute_job(wanting))
-    hit = cache.get(bare)  # superset entries serve subset requests
-    assert hit is not None
+    fig5_multicore(hcfg, 1, ["blockhammer"], cache=cache)
+    report = SweepReport()
+    data = channel_scaling(hcfg, (1,), 1, ["blockhammer"], cache=cache, report=report)
+    assert report.executed == 0
+    assert report.cached == report.total > 0
+    assert len(data["attribution"]) == 2  # one per (scenario, channel)
 
 
 def test_corrupt_entry_is_a_miss(tmp_path, hcfg2):
@@ -167,8 +178,9 @@ def test_mangled_payload_is_quarantined(tmp_path, hcfg2):
 
 
 def test_schema_mismatch_is_a_plain_miss_not_corruption(tmp_path, hcfg2):
-    """Stale-but-well-formed entries (old fingerprint, missing extras)
-    are ordinary misses: no quarantine, no corrupt tally."""
+    """Stale-but-well-formed entries (old fingerprint, the format-1
+    layout with ``extras``) are ordinary misses: no quarantine, no
+    corrupt tally."""
     job = single_job(hcfg2, "403.gcc", "none")
     cache = ResultCache(tmp_path)
     cache.put(job, execute_job(job))
@@ -176,6 +188,14 @@ def test_schema_mismatch_is_a_plain_miss_not_corruption(tmp_path, hcfg2):
     assert stale.get(job) is None
     assert stale.corrupt == 0
     assert cache._path(job).exists()  # entry left in place
+    path = cache._path(job)
+    data = json.loads(path.read_text())
+    del data["telemetry"], data["governor_actions"]
+    data.update(format=1, extras={"thread_rhli": [0.0]})
+    path.write_text(json.dumps(data))
+    assert cache.get(job) is None
+    assert cache.corrupt == 0
+    assert path.exists()
 
 
 def test_quarantined_files_do_not_count_toward_eviction_cap(tmp_path, hcfg2):
