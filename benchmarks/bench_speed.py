@@ -1,6 +1,6 @@
-"""Wall-clock speed benchmark: the perf trajectory anchor.
+"""Wall-clock speed benchmark: the canonical Figure 5 sweep, cold and warm.
 
-Measures five things and emits ``BENCH_speed.json`` at the repo root:
+Measures three things and emits ``BENCH_speed.json`` at the repo root:
 
 1. **Canonical Figure 5 sweep** — ``fig5_multicore`` over
    ``--mixes`` mixes per scenario and all paper mechanisms, run
@@ -11,28 +11,20 @@ Measures five things and emits ``BENCH_speed.json`` at the repo root:
    cache (throwaway directory): a cold run that stores every job, then
    a warm run that must perform **zero** simulations and reproduce the
    rows exactly.
-3. **Single-process hot loop** — one attack mix under ``none`` and
-   under ``blockhammer``, with events/second derived from
-   ``SimResult.events_processed``.
-4. **Channel-scaling sweep** — the ``channel_scaling`` driver over
+3. **Channel-scaling sweep** — the ``channel_scaling`` driver over
    channels {1, 2, 4} (one mix per scenario, BlockHammer), cold through
    a throwaway result cache and warm again: the warm run must perform
    zero simulations while reproducing the summary/attribution rows
    exactly.
-5. **Seed baseline** — the same sweep and single runs executed against
-   the repository's seed commit (default: the root commit) in a
-   temporary git worktree, giving the honest "vs. seed" speedups.
-   ``--no-seed`` skips this and carries the baseline forward from an
-   existing ``BENCH_speed.json``.
 
 Run it from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_speed.py
-    PYTHONPATH=src python benchmarks/bench_speed.py --mixes 1 --no-seed
+    PYTHONPATH=src python benchmarks/bench_speed.py --mixes 1 --out /tmp/speed.json
 
-Future PRs regress against the committed ``BENCH_speed.json``: the
-``current`` section must not get slower, and ``speedups`` records how
-far the optimization work has moved since the seed.
+The hot loop is gated by ``scripts/perf_guard.py`` (exact layer counts
+plus a parent-vs-change CPU A/B), not by these wall-clock numbers.
+``CANONICAL`` and ``provenance`` are shared with ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -42,12 +34,10 @@ import json
 import os
 import pathlib
 import subprocess
-import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_speed.json"
-SEED_WORKTREE = REPO_ROOT / ".bench-seed-tmp"
 
 #: Canonical benchmark configuration (kept small enough to finish in
 #: minutes on one core while exercising every hot path).
@@ -168,118 +158,11 @@ def measure_channel_sweep(channel_counts=(1, 2, 4)):
     }
 
 
-def measure_single_runs(repeats: int = 5):
-    """Hot-loop metrics from one attack mix per mechanism of interest.
-
-    Best-of-N with a discarded warm-up run: this box is a noisy shared
-    single CPU and these sub-second runs land right after the sweep
-    churned it, so a single sample regularly swings ±10%.  The minimum
-    of five back-to-back runs is the stable figure (simulations are
-    deterministic — every repeat does identical work).
-    """
-    from repro.harness.runner import Runner
-    from repro.workloads.mixes import attack_mixes
-
-    runner = Runner(_hcfg())
-    mix = attack_mixes(1)[0]
-    out = {}
-    for mechanism in ("none", "blockhammer"):
-        runner.run_mix(mix, mechanism)  # warm trace/mapping caches
-        best = float("inf")
-        outcome = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            outcome = runner.run_mix(mix, mechanism)
-            best = min(best, time.perf_counter() - start)
-        events = getattr(outcome.result, "events_processed", 0)
-        out[mechanism] = {
-            "run_s": round(best, 3),
-            "events": events,
-            "events_per_sec": round(events / best) if events else None,
-        }
-    return out
-
-
-# ----------------------------------------------------------------------
-# Seed baseline (runs inside a worktree of the seed commit).
-# ----------------------------------------------------------------------
-_CHILD = r"""
-import json, sys, time
-cfg = json.loads(sys.argv[1])
-num_mixes = cfg.pop("num_mixes")
-from repro.harness.runner import HarnessConfig, Runner
-from repro.harness.experiments import fig5_multicore
-from repro.workloads.mixes import attack_mixes
-hcfg = HarnessConfig(**cfg)
-start = time.perf_counter()
-rows = fig5_multicore(hcfg, num_mixes, None)
-sweep_s = time.perf_counter() - start
-runner = Runner(hcfg)
-mix = attack_mixes(1)[0]
-single = {}
-for mechanism in ("none", "blockhammer"):
-    start = time.perf_counter()
-    outcome = runner.run_mix(mix, mechanism)
-    single[mechanism] = {"run_s": round(time.perf_counter() - start, 3)}
-print(json.dumps({"sweep_serial_s": round(sweep_s, 2), "single": single}))
-"""
-
-
-def resolve_seed_rev(explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    root = subprocess.run(
-        ["git", "rev-list", "--max-parents=0", "HEAD"],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return root.stdout.split()[0]
-
-
-def measure_seed(seed_rev: str, num_mixes: int):
-    """Time the seed commit on the same workload via a temp worktree."""
-    subprocess.run(
-        ["git", "worktree", "add", "--force", str(SEED_WORKTREE), seed_rev],
-        cwd=REPO_ROOT,
-        check=True,
-        capture_output=True,
-    )
-    try:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SEED_WORKTREE / "src")
-        cfg = dict(CANONICAL, num_mixes=num_mixes)
-        proc = subprocess.run(
-            [sys.executable, "-c", _CHILD, json.dumps(cfg)],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-        result["rev"] = seed_rev
-        return result
-    finally:
-        subprocess.run(
-            ["git", "worktree", "remove", "--force", str(SEED_WORKTREE)],
-            cwd=REPO_ROOT,
-            check=False,
-            capture_output=True,
-        )
-
-
 # ----------------------------------------------------------------------
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--mixes", type=int, default=2, help="mixes per scenario")
-    parser.add_argument("--seed-rev", default=None, help="git rev of the seed baseline")
-    parser.add_argument(
-        "--no-seed",
-        action="store_true",
-        help="skip the seed worktree run; reuse the baseline already in --out",
-    )
     parser.add_argument("--out", type=pathlib.Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
@@ -297,7 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         f"({cache_stats['warm_simulations_executed']} sims, "
         f"identical={cache_stats['rows_identical']})"
     )
-    single = measure_single_runs()
     channel_sweep = measure_channel_sweep()
     print(
         f"  chan sweep  : {channel_sweep['cold_store_s']:7.2f} s cold "
@@ -308,27 +190,8 @@ def main(argv: list[str] | None = None) -> int:
         f"identical={channel_sweep['rows_identical']})"
     )
 
-    seed = None
-    if args.no_seed:
-        if args.out.exists():
-            prior = json.loads(args.out.read_text())
-            if prior.get("config") == dict(
-                CANONICAL, num_mixes_per_scenario=args.mixes
-            ):
-                seed = prior.get("seed")
-            else:
-                print(
-                    "prior BENCH_speed.json used a different config; "
-                    "dropping its seed baseline (re-run without --no-seed)"
-                )
-    else:
-        rev = resolve_seed_rev(args.seed_rev)
-        print(f"measuring seed baseline ({rev[:12]}) in a temp worktree ...")
-        seed = measure_seed(rev, args.mixes)
-        print(f"  seed serial : {seed['sweep_serial_s']:7.2f} s")
-
     report = {
-        "benchmark": "canonical fig5 sweep + single-run hot loop",
+        "benchmark": "canonical fig5 sweep, cold and warm",
         "config": dict(CANONICAL, num_mixes_per_scenario=args.mixes),
         "machine": {"cpu_count": os.cpu_count(), "workers": args.workers},
         "provenance": provenance(),
@@ -337,10 +200,8 @@ def main(argv: list[str] | None = None) -> int:
             "sweep_parallel_s": round(parallel_s, 2),
             "serial_parallel_identical": identical,
             "cached_rerun": cache_stats,
-            "single": single,
             "channel_sweep": channel_sweep,
         },
-        "seed": seed,
     }
     speedups = {
         "parallel_vs_serial": round(serial_s / parallel_s, 2),
@@ -348,23 +209,13 @@ def main(argv: list[str] | None = None) -> int:
         "cached_rerun_vs_serial": round(serial_s / max(cache_stats["warm_s"], 1e-6)),
     }
     cache_stats["warm_s"] = round(cache_stats["warm_s"], 4)
-    if seed:
-        seed_serial = seed["sweep_serial_s"]
-        speedups["single_process_vs_seed"] = round(seed_serial / serial_s, 2)
-        speedups["sweep_4workers_vs_seed"] = round(seed_serial / parallel_s, 2)
-        for mechanism, stats in single.items():
-            base = seed.get("single", {}).get(mechanism)
-            if base:
-                speedups[f"single_run_{mechanism}_vs_seed"] = round(
-                    base["run_s"] / stats["run_s"], 2
-                )
     report["speedups"] = speedups
     if (os.cpu_count() or 1) < args.workers:
         report["note"] = (
             f"only {os.cpu_count()} CPU(s) available: the {args.workers}-worker "
-            "run cannot exceed serial wall-clock on this machine; on a "
+            f"run can use at most {os.cpu_count()} of them on this machine; on a "
             f">= {args.workers}-core host the parallel sweep scales with the "
-            "worker count on top of single_process_vs_seed"
+            "worker count"
         )
 
     args.out.write_text(json.dumps(report, indent=2) + "\n")

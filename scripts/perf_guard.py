@@ -1,24 +1,27 @@
-#!/usr/bin/env python
-"""CI perf-regression guard: the hot loop must not get slower.
+#!/usr/bin/env python3
+"""The repo's one performance gate: exact layer counts and a CPU-time A/B.
 
-Re-measures the single-process hot-loop benchmarks (one attack mix
-under ``none`` and under ``blockhammer``, best-of-N — section 3 of
-``benchmarks/bench_speed.py``) and fails when the measured events/sec
-falls more than ``--tolerance`` (default 20%) below the committed
-``BENCH_speed.json`` baseline.
+1. **Count record.** Runs ``perfbench/run.py --seed 1 --trace 1`` on
+   every workload of ``BENCHMARK.json``.  Each run must be ``correct``
+   with no failed operations, and every ``count``-unit metric must equal
+   the committed ``benchmarks/layer_counts.json``.  The counts are
+   deterministic and do not drift with the host, so any differing,
+   missing or extra metric fails.
+2. **CPU A/B.** Extracts the parent tree with ``git archive`` and runs
+   interleaved parent/change pairs of ``attack-blockhammer --trace 0``
+   on this host.  Fails when the median change ``cpu_s`` exceeds the
+   median parent ``cpu_s`` by more than 20%, or when any run is not
+   ``correct``.  The parent is ``HEAD`` when tracked files differ from
+   it (a local change) and ``HEAD^`` otherwise (a checked-out commit).
 
-Only the singles run here: they take seconds, and events/sec is the
-metric the optimization PRs move.  The full benchmark (sweeps, cache
-replays, seed baseline) stays a manual ``benchmarks/bench_speed.py``
-run whose output is committed.
+Run it from anywhere in the checkout::
 
-Exit status: 0 = within tolerance, 1 = regression, 2 = baseline or
-measurement problem.  Usage::
+    python3 scripts/perf_guard.py           # both checks
+    python3 scripts/perf_guard.py --record  # rewrite the count record only
 
-    PYTHONPATH=src python scripts/perf_guard.py [--tolerance 0.2] [--repeats 5]
-
-``REPRO_PERF_TOLERANCE`` overrides the default tolerance (CI knob, no
-workflow edit needed).
+A change that alters a count on purpose re-records the file with
+``--record`` and explains each change.  Exit status: 0 = pass,
+1 = a check failed, 2 = no parent tree to compare against.
 """
 
 from __future__ import annotations
@@ -27,72 +30,155 @@ import argparse
 import json
 import os
 import pathlib
+import statistics
+import subprocess
 import sys
+import tempfile
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-BASELINE = REPO_ROOT / "BENCH_speed.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RECORD = ROOT / "benchmarks" / "layer_counts.json"
+SEED = 1
+AB_WORKLOAD = "attack-blockhammer"
+AB_PAIRS = 3
+AB_SECONDS = 10
+AB_BOUND = 0.20
 
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-sys.path.insert(0, str(REPO_ROOT / "src"))
+
+def perfbench(tree: pathlib.Path, workload: str, *flags: str) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its final JSON line, or
+    an incorrect result when the run crashes."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(SEED), *flags],
+        cwd=tree, env=env, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr[-2000:])
+        return {"correct": False, "failed": None, "metrics": {}}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_failures(label: str, result: dict) -> list[str]:
+    """Why a perfbench run cannot be trusted, if it cannot."""
+    if result.get("correct") is True and result.get("failed") == 0:
+        return []
+    return [f"{label}: correct={result.get('correct')} failed={result.get('failed')}"]
+
+
+def count_metrics(result: dict) -> dict[str, int]:
+    """The ``count``-unit metrics of one traced perfbench run."""
+    return {
+        name: metric["value"]
+        for name, metric in result["metrics"].items()
+        if metric["unit"] == "count"
+    }
+
+
+def count_failures(workload: str, recorded: dict, measured: dict) -> list[str]:
+    """Every metric whose measured count differs from the record."""
+    return [
+        f"{workload}: {name} recorded {recorded.get(name, 'missing')}, "
+        f"measured {measured.get(name, 'missing')}"
+        for name in sorted(recorded.keys() | measured.keys())
+        if recorded.get(name) != measured.get(name)
+    ]
+
+
+def ab_failures(parent_cpu: list[float], change_cpu: list[float]) -> list[str]:
+    """A failure when the median change ``cpu_s`` is past the bound."""
+    ratio = statistics.median(change_cpu) / statistics.median(parent_cpu)
+    verdict = "past" if ratio > 1 + AB_BOUND else "within"
+    message = (f"{AB_WORKLOAD}: median cpu_s change/parent {ratio:.3f}, "
+               f"{verdict} the {1 + AB_BOUND:.2f} bound")
+    print(f"perf-guard: {message}")
+    return [message] if verdict == "past" else []
+
+
+def check_counts(record: bool) -> list[str]:
+    """Run the traced passes; compare with, or rewrite, the record."""
+    recorded = {} if record else json.loads(RECORD.read_text())
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    measured, failures = {}, []
+    for workload in (entry["name"] for entry in declared):
+        result = perfbench(ROOT, workload, "--trace", "1")
+        failures += run_failures(f"{workload} traced", result)
+        measured[workload] = count_metrics(result)
+        if not record:
+            failures += count_failures(
+                workload, recorded.get(workload, {}), measured[workload]
+            )
+            print(f"perf-guard: {workload}: {len(measured[workload])} counts checked")
+    for workload in recorded.keys() - measured.keys():
+        failures.append(f"{workload}: recorded but not a declared workload")
+    if record and not failures:
+        RECORD.write_text(json.dumps(measured, indent=2, sort_keys=True) + "\n")
+        print(f"perf-guard: wrote {RECORD.relative_to(ROOT)}")
+    return failures
+
+
+def parent_rev() -> str:
+    """``HEAD`` under an uncommitted change to tracked files, else ``HEAD^``."""
+    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--"], cwd=ROOT)
+    return "HEAD" if dirty.returncode else "HEAD^"
+
+
+def extract(rev: str, dest: str) -> bool:
+    """``git archive rev | tar -x -C dest``; False when it fails."""
+    archive = subprocess.Popen(
+        ["git", "archive", rev], cwd=ROOT,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    untar = subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout)
+    archive.stdout.close()
+    return archive.wait() == 0 and untar.returncode == 0
+
+
+def check_ab(parent: pathlib.Path) -> list[str]:
+    """Interleaved parent/change ``--trace 0`` pairs, alternating order."""
+    trees = {"parent": parent, "change": ROOT}
+    cpu = {"parent": [], "change": []}
+    failures = []
+    for pair in range(AB_PAIRS):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            label = f"{AB_WORKLOAD} pair {pair + 1} {side}"
+            result = perfbench(trees[side], AB_WORKLOAD,
+                               "--seconds", str(AB_SECONDS), "--trace", "0")
+            failures += run_failures(label, result)
+            if result["metrics"]:
+                cpu[side].append(result["metrics"]["cpu_s"]["value"])
+                print(f"perf-guard: {label}: cpu_s {cpu[side][-1]:.2f}")
+    if failures:
+        return failures
+    return ab_failures(cpu["parent"], cpu["change"])
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=float(os.environ.get("REPRO_PERF_TOLERANCE", "0.20")),
-        help="allowed fractional events/sec drop vs baseline (default 0.20)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=5,
-        help="best-of-N repeats per mechanism (default 5, as in bench_speed)",
+        "--record", action="store_true",
+        help="rewrite benchmarks/layer_counts.json from a fresh run; skip the A/B",
     )
     args = parser.parse_args(argv)
-    if not 0.0 <= args.tolerance < 1.0:
-        parser.error("--tolerance must be in [0, 1)")
 
-    if not BASELINE.exists():
-        print(f"perf-guard: no baseline at {BASELINE}", file=sys.stderr)
-        return 2
-    baseline = json.loads(BASELINE.read_text())["current"]["single"]
-
-    import bench_speed
-
-    measured = bench_speed.measure_single_runs(repeats=args.repeats)
-
-    failed = False
-    for mechanism, row in measured.items():
-        base = baseline.get(mechanism, {})
-        base_rate = base.get("events_per_sec")
-        rate = row.get("events_per_sec")
-        if not base_rate or not rate:
-            print(
-                f"perf-guard: {mechanism}: missing events/sec "
-                f"(baseline={base_rate}, measured={rate})",
-                file=sys.stderr,
-            )
-            return 2
-        floor = base_rate * (1.0 - args.tolerance)
-        ratio = rate / base_rate
-        verdict = "OK" if rate >= floor else "REGRESSION"
-        print(
-            f"perf-guard: {mechanism}: {rate} ev/s vs baseline {base_rate} "
-            f"({ratio:.2f}x, floor {floor:.0f}) {verdict}"
-        )
-        if rate < floor:
-            failed = True
-    if failed:
-        print(
-            f"perf-guard: hot-loop event rate regressed more than "
-            f"{args.tolerance:.0%} vs committed BENCH_speed.json",
-            file=sys.stderr,
-        )
+    failures = check_counts(args.record)
+    extracted = True
+    if not args.record:
+        rev = parent_rev()
+        with tempfile.TemporaryDirectory(prefix="perf-guard-parent-") as parent:
+            extracted = extract(rev, parent)
+            if extracted:
+                print(f"perf-guard: A/B against {rev}")
+                failures += check_ab(pathlib.Path(parent))
+            else:
+                print(f"perf-guard: cannot extract the parent tree {rev}",
+                      file=sys.stderr)
+    for line in failures:
+        print(f"perf-guard: FAIL {line}", file=sys.stderr)
+    if failures:
         return 1
-    return 0
-
+    return 0 if extracted else 2
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -27,6 +27,7 @@ from repro.os.spec import GovernorSpec, build_governor
 from repro.sim.config import SystemConfig
 from repro.sim.stats import SimResult
 from repro.sim.system import System
+from repro.utils.validation import require
 from repro.workloads.mixes import DEFAULT_MIX_THREADS, WorkloadMix, mix_row_offset
 from repro.workloads.profiles import WorkloadProfile, profile_by_name
 
@@ -84,6 +85,28 @@ class HarnessConfig:
     # instructions): long enough for an attacker to be blacklisted and
     # throttled, so measurements reflect steady state.
     warmup_ns: float = 50_000.0
+
+    def __post_init__(self) -> None:
+        require(self.scale >= 1, "scale must be >= 1")
+        require(self.paper_nrh >= 1, "paper_nrh must be >= 1")
+        require(
+            self.num_channels is None or self.num_channels >= 1,
+            "num_channels must be None or >= 1",
+        )
+        require(
+            self.instructions_per_thread >= 1, "instructions_per_thread must be >= 1"
+        )
+        require(self.warmup_ns >= 0, "warmup_ns must be >= 0")
+        require(self.blast_radius >= 1, "blast_radius must be >= 1")
+        require(0 < self.blast_decay <= 1, "blast_decay must be in (0, 1]")
+        require(
+            self.rowmap_kind in ("linear", "mirrored", "scrambled"),
+            f"rowmap_kind must be linear, mirrored or scrambled: {self.rowmap_kind!r}",
+        )
+        require(
+            self.max_time_ns is None or self.max_time_ns > 0,
+            "max_time_ns must be None or > 0",
+        )
 
     @property
     def sim_nrh(self) -> int:

@@ -6,10 +6,12 @@ tens of seconds; the benchmarks use larger settings.
 
 import pytest
 
+from repro.harness import cli, experiments
 from repro.harness.experiments import _benign_ipc_maps, mix_sweep_jobs
 from repro.harness.parallel import mix_key, run_jobs
 from repro.harness.reporting import format_table
 from repro.harness.runner import HarnessConfig, Runner
+from repro.utils.validation import ConfigError
 from repro.workloads.mixes import attack_mixes, benign_mixes
 
 
@@ -27,6 +29,37 @@ def test_scaled_nrh_consistency(hcfg):
     assert hcfg.sim_nrh == 128
     assert hcfg.spec().tREFW == pytest.approx(64e6 / 256)
     assert hcfg.disturbance().nrh == 128
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scale", 0.0),
+        ("scale", 0.5),
+        ("paper_nrh", 0),
+        ("num_channels", 0),
+        ("instructions_per_thread", 0),
+        ("instructions_per_thread", -3),
+        ("warmup_ns", -1.0),
+        ("blast_radius", 0),
+        ("blast_decay", 0.0),
+        ("blast_decay", 1.5),
+        ("rowmap_kind", "bogus"),
+        ("max_time_ns", 0.0),
+    ],
+)
+def test_harness_config_rejects_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field):
+        HarnessConfig(**{field: value})
+
+
+def test_cli_rejects_bad_config_before_dispatch(monkeypatch):
+    def dispatched(*args, **kwargs):
+        pytest.fail("a job was dispatched for an invalid configuration")
+
+    monkeypatch.setattr(experiments, "run_jobs", dispatched)
+    with pytest.raises(ConfigError, match="instructions_per_thread"):
+        cli.main(["fig5", "--instructions", "0"])
 
 
 def test_mechanism_kwargs_paper_scale_para(hcfg):
