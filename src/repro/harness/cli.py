@@ -289,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--scale", type=float, default=128.0, help="tREFW shrink factor")
     parser.add_argument("--nrh", type=int, default=32768, help="paper-scale NRH")
-    parser.add_argument("--mixes", type=int, default=1, help="mixes per scenario")
+    parser.add_argument(
+        "--mixes", type=_positive_int, default=1, help="mixes per scenario"
+    )
     parser.add_argument(
         "--instructions", type=int, default=80_000, help="benign instructions per thread"
     )
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         help="simulation worker processes (default: serial)",
     )

@@ -6,10 +6,10 @@ plan into every job invocation (:func:`repro.harness.parallel._invoke_job`),
 so faults fire *inside worker processes* exactly like real failures:
 
 * ``"crash"``  — the worker process dies (``os._exit``), breaking the
-  process pool mid-sweep.  On the in-process serial path — where
-  killing the process would kill the sweep itself — it degrades to
-  raising :class:`SimulatedCrash`, which exercises the same retry
-  ladder.
+  process pool mid-sweep.  On the in-process executor — where killing
+  the process would kill the sweep itself — it degrades to raising
+  :class:`SimulatedCrash`, which the same retry ladder counts as a
+  crash.
 * ``"hang"``   — the job sleeps ``seconds`` before running, tripping
   the per-job wall-clock timeout (kill → retry → … → skip).
 * ``"delay"``  — the job sleeps ``seconds`` and then *completes*
@@ -50,7 +50,7 @@ class InjectedFault(RuntimeError):
 
 
 class SimulatedCrash(RuntimeError):
-    """The in-process stand-in for a worker death (serial path only)."""
+    """The in-process stand-in for a worker death (in-process executor)."""
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,13 @@ class FaultPlan:
                 return spec
         return None
 
-    def apply(self, job, attempt: int, in_process: bool = False) -> None:
+    def apply(self, job, attempt: int, in_process: bool) -> None:
         """Fire the matching fault for ``(job, attempt)``, if any.
 
         Called at the top of every job invocation.  ``in_process`` marks
-        the serial path, where a real process kill would take the sweep
-        down with it — crashes degrade to :class:`SimulatedCrash` there.
+        the in-process executor, where a real process kill would take
+        the sweep down with it — crashes degrade to
+        :class:`SimulatedCrash` there.
         """
         spec = self.spec_for(job, attempt)
         if spec is None:

@@ -35,10 +35,13 @@ tests them):
 * every finished :class:`JobResult` is **checkpointed into the cache
   the moment it lands** — an interrupted or crashed sweep resumes from
   its completed jobs, never from zero;
+* one loop holds the retry ladder for every sweep; it dispatches to a
+  process pool or, for serial sweeps, to an in-process executor whose
+  ``submit`` runs the job and returns a finished future;
 * a dead worker (``BrokenProcessPool``) rebuilds the pool and retries
-  only the affected jobs, with bounded exponential backoff and
-  deterministic jitter — retried jobs are bit-identical because every
-  job is a self-contained deterministic simulation;
+  only the affected jobs, with bounded exponential backoff — retried
+  jobs are bit-identical because every job is a self-contained
+  deterministic simulation;
 * jobs running past the per-job wall-clock timeout have their worker
   killed and re-enter the retry ladder (kill → retry → … → skip);
 * with ``on_error="skip"`` exhausted jobs become structured
@@ -59,14 +62,21 @@ import os
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from repro.energy.drampower import EnergyBreakdown
 from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan, SimulatedCrash
-from repro.harness.retry import ExecPolicy
+from repro.harness.retry import ExecPolicy, backoff_delay
 from repro.harness.runner import HarnessConfig, Runner
 from repro.mitigations.base import MechanismTelemetry
 from repro.mitigations.registry import available_mitigations
@@ -261,7 +271,7 @@ def execute_job(job: SimJob) -> JobResult:
 
 
 # ----------------------------------------------------------------------
-# The executor.
+# Sweep entry point.
 # ----------------------------------------------------------------------
 def dedupe_jobs(jobs: list[SimJob]) -> list[SimJob]:
     """Unique jobs in first-occurrence order; jobs sharing a key must
@@ -274,11 +284,15 @@ def dedupe_jobs(jobs: list[SimJob]) -> list[SimJob]:
     return list(unique.values())
 
 
-def _invoke_job(job: SimJob, attempt: int, faults: FaultPlan | None) -> JobResult:
-    """One job attempt (the unit the pool dispatches): fire any injected
-    fault for this ``(job, attempt)``, then run the simulation."""
+def _invoke_job(
+    job: SimJob, attempt: int, faults: FaultPlan | None, in_process: bool
+) -> JobResult:
+    """One job attempt (the unit the executor dispatches): fire any
+    injected fault for this ``(job, attempt)``, then run the simulation.
+    ``in_process`` tells the fault plan whether a crash may kill the
+    process it runs in."""
     if faults is not None:
-        faults.apply(job, attempt, in_process=False)
+        faults.apply(job, attempt, in_process)
     return execute_job(job)
 
 
@@ -303,12 +317,10 @@ def _print_progress(report: SweepReport, job: SimJob, status: str) -> None:
 def pool_available() -> bool:
     """Whether this platform can spawn worker processes at all (the
     chaos tests skip pool scenarios where it cannot)."""
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            pool.submit(os.getpid).result()
-        return True
-    except Exception:
-        return False
+    pool = _spawn_pool(1)
+    if pool is not None:
+        pool.shutdown()
+    return pool is not None
 
 
 def run_jobs(
@@ -324,10 +336,9 @@ def run_jobs(
     """Execute ``jobs`` (deduplicated) and return results by job key.
 
     ``workers`` of ``None`` or ``<= 1`` runs serially in-process;
-    ``workers > 1`` fans out over a process pool, falling back to serial
-    execution when the platform cannot spawn worker processes (e.g.
-    sandboxed CI).  Result
-    content is identical either way — each job is a self-contained
+    ``workers > 1`` fans out over a process pool, moving in-process when
+    the platform cannot spawn worker processes (e.g. sandboxed CI).
+    Result content is identical either way — each job is a self-contained
     deterministic simulation — and the returned mapping lets callers
     assemble rows in declaration order, independent of completion order.
 
@@ -379,7 +390,7 @@ def run_jobs(
                     pending.append(job)
 
         def checkpoint(
-            job: SimJob, result: JobResult, wall_s: float = 0.0, attempts: int = 1
+            job: SimJob, result: JobResult, wall_s: float, attempts: int
         ) -> None:
             results[job.key] = result
             if cache is not None:
@@ -437,111 +448,23 @@ def run_jobs(
     return results
 
 
-class _PoolUnavailable(Exception):
-    """Worker processes cannot be spawned (restricted environments);
-    carries any failures already recorded before the pool died."""
+# ----------------------------------------------------------------------
+# The execution loop.
+# ----------------------------------------------------------------------
+class _InlineExecutor(Executor):
+    """Runs each submitted call in the dispatching process and returns an
+    already-finished future, so a serial sweep goes through the same loop
+    as a pool.  A ``KeyboardInterrupt`` propagates out of ``submit``."""
 
-    def __init__(self, failures: list[JobFailure] | None = None) -> None:
-        super().__init__("process pool unavailable")
-        self.failures = failures or []
-
-
-def _execute_jobs(
-    ordered: list[SimJob],
-    workers: int | None,
-    policy: ExecPolicy,
-    faults: FaultPlan | None,
-    checkpoint,
-    report: SweepReport,
-) -> list[JobFailure]:
-    """Execute deduplicated jobs, over a pool when possible.
-
-    Calls ``checkpoint(job, result)`` the moment each job lands; returns
-    the :class:`JobFailure` records of jobs that exhausted the policy's
-    retry ladder.
-    """
-    if not ordered:
-        return []
-    count = max(1, workers or 1)
-    completed: set[JobKey] = set()
-
-    def _checkpoint(
-        job: SimJob, result: JobResult, wall_s: float = 0.0, attempts: int = 1
-    ) -> None:
-        completed.add(job.key)
-        checkpoint(job, result, wall_s, attempts)
-
-    if count > 1 and len(ordered) > 1:
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
         try:
-            return _pool_execute(ordered, count, policy, faults, _checkpoint, report)
-        except _PoolUnavailable as unavailable:
-            # Process pools are unavailable (restricted environments):
-            # fall back to the serial path, which produces identical
-            # results, resuming from whatever already checkpointed.
-            done = completed | {f.key for f in unavailable.failures}
-            remaining = [job for job in ordered if job.key not in done]
-            return unavailable.failures + _serial_execute(
-                remaining, policy, faults, _checkpoint, report
-            )
-    return _serial_execute(ordered, policy, faults, _checkpoint, report)
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
-# ----------------------------------------------------------------------
-# The serial path.
-# ----------------------------------------------------------------------
-def _serial_execute(
-    ordered: list[SimJob],
-    policy: ExecPolicy,
-    faults: FaultPlan | None,
-    checkpoint,
-    report: SweepReport,
-) -> list[JobFailure]:
-    """In-process execution with the same retry ladder as the pool path.
-
-    Worker "crashes" degrade to :class:`SimulatedCrash` exceptions (the
-    process *is* the sweep), and per-job timeouts cannot preempt a
-    running simulation — injected hangs simply sleep.  Incremental
-    checkpointing still holds: a ``KeyboardInterrupt`` propagates with
-    every completed job already stored.
-    """
-    failures: list[JobFailure] = []
-    for job in ordered:
-        attempt = 1
-        first_failure: float | None = None
-        while True:
-            try:
-                if faults is not None:
-                    faults.apply(job, attempt, in_process=True)
-                attempt_start = time.perf_counter()
-                result = execute_job(job)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                kind = "crash" if isinstance(exc, SimulatedCrash) else "error"
-                if kind == "crash":
-                    report.crashes += 1
-                now = time.monotonic()
-                if first_failure is None:
-                    first_failure = now
-                if not policy.may_retry(attempt, now - first_failure):
-                    failures.append(
-                        JobFailure(job.key, kind, attempt, repr(exc))
-                    )
-                    break
-                report.retries += 1
-                time.sleep(policy.backoff_delay(job.key, attempt))
-                attempt += 1
-            else:
-                checkpoint(
-                    job, result, time.perf_counter() - attempt_start, attempt
-                )
-                break
-    return failures
-
-
-# ----------------------------------------------------------------------
-# The pool path.
-# ----------------------------------------------------------------------
 @dataclass
 class _Attempt:
     """One queued/in-flight dispatch of a job."""
@@ -549,12 +472,11 @@ class _Attempt:
     job: SimJob
     attempt: int = 1
     ready_at: float = 0.0  # earliest re-dispatch time (backoff)
-    first_failure: float | None = None
     deadline: float | None = None  # per-job wall-clock kill time
-    dispatched_at: float = 0.0  # when this attempt entered the pool
+    dispatched_at: float = 0.0  # when this attempt entered the executor
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
+def _kill_pool(pool: Executor) -> None:
     """Forcibly terminate a pool's workers (hung jobs cannot be
     cancelled; killing the processes is the only preemption there is)
     and release the executor without waiting."""
@@ -567,42 +489,63 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _pool_execute(
+def _spawn_pool(workers: int) -> ProcessPoolExecutor | None:
+    """A process pool with a live worker, or ``None`` when this platform
+    cannot spawn one (restricted environments).  Workers start lazily,
+    so the probe job is what surfaces the failure."""
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        pool.submit(os.getpid).result()
+        return pool
+    except (OSError, RuntimeError):
+        if pool is not None:
+            _kill_pool(pool)
+        return None
+
+
+def _execute_jobs(
     ordered: list[SimJob],
-    count: int,
+    workers: int | None,
     policy: ExecPolicy,
     faults: FaultPlan | None,
     checkpoint,
     report: SweepReport,
 ) -> list[JobFailure]:
-    """Per-future dispatch over a process pool that survives worker
-    death and enforces per-job timeouts.
+    """The one retry, backoff and timeout loop: per-future dispatch over
+    an executor, calling ``checkpoint(job, result, wall_s, attempts)``
+    the moment each job lands.  Returns the :class:`JobFailure` records
+    of jobs that exhausted the policy's attempt budget.
 
-    Invariants: at most ``count`` attempts are in flight (so a job's
-    wall-clock deadline starts when a worker actually picks it up);
-    results checkpoint the moment their future resolves; a broken pool
-    is rebuilt and only the affected jobs re-enter the queue.  Raises
-    :class:`_PoolUnavailable` if workers cannot be spawned at all.
+    The executor is chosen once per sweep: a process pool when
+    ``workers > 1`` and more than one job is pending, else an
+    :class:`_InlineExecutor`.  A broken pool is rebuilt as a pool, so a
+    retried job stays preemptible by its timeout; only a pool that can
+    no longer spawn moves the rest of the sweep in-process, and every
+    job keeps the attempts it has already used.
+
+    Invariants: at most ``count`` attempts are in flight (one
+    in-process, so an interrupt loses no finished result; on a pool, a
+    job's wall-clock deadline starts when a worker actually picks it
+    up), and only the jobs a failure affected re-enter the queue.
     """
     failures: list[JobFailure] = []
     queue: deque[_Attempt] = deque(_Attempt(job) for job in ordered)
     inflight: dict = {}  # future -> _Attempt
-    pool: ProcessPoolExecutor | None = None
+    count = max(1, workers or 1)
+    in_process = count == 1 or len(ordered) == 1
+    executor: Executor | None = None
 
     def retry_or_fail(entry: _Attempt, kind: str, message: str, now: float) -> None:
-        if entry.first_failure is None:
-            entry.first_failure = now
-        if not policy.may_retry(entry.attempt, now - entry.first_failure):
-            failures.append(
-                JobFailure(entry.job.key, kind, entry.attempt, message)
-            )
+        if entry.attempt >= policy.attempts:
+            failures.append(JobFailure(entry.job.key, kind, entry.attempt, message))
             return
         report.retries += 1
         queue.append(
             replace(
                 entry,
                 attempt=entry.attempt + 1,
-                ready_at=now + policy.backoff_delay(entry.job.key, entry.attempt),
+                ready_at=now + backoff_delay(entry.attempt),
                 deadline=None,
             )
         )
@@ -610,17 +553,11 @@ def _pool_execute(
     try:
         while queue or inflight:
             now = time.monotonic()
-            if pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(count, max(1, len(queue)))
-                )
-                try:
-                    # Probe before dispatching real work: worker
-                    # processes spawn lazily, so "this platform cannot
-                    # run process pools" only surfaces on first use.
-                    pool.submit(os.getpid).result()
-                except (OSError, PermissionError, RuntimeError):
-                    raise _PoolUnavailable(failures) from None
+            if executor is None and not in_process:
+                executor = _spawn_pool(min(count, len(queue)))
+                in_process = executor is None
+            if executor is None:
+                executor, count = _InlineExecutor(), 1
             # Dispatch up to the worker count, skipping entries still
             # backing off.
             while queue and len(inflight) < count:
@@ -632,8 +569,8 @@ def _pool_execute(
                 entry = queue[index]
                 del queue[index]
                 try:
-                    future = pool.submit(
-                        _invoke_job, entry.job, entry.attempt, faults
+                    future = executor.submit(
+                        _invoke_job, entry.job, entry.attempt, faults, in_process
                     )
                 except (BrokenExecutor, OSError, RuntimeError):
                     # The pool broke between dispatches (a worker died
@@ -642,8 +579,8 @@ def _pool_execute(
                     # break below, or we rebuild immediately.
                     queue.appendleft(entry)
                     if not inflight:
-                        _kill_pool(pool)
-                        pool = None
+                        _kill_pool(executor)
+                        executor = None
                     break
                 entry.deadline = (
                     now + policy.job_timeout_s
@@ -652,7 +589,7 @@ def _pool_execute(
                 )
                 entry.dispatched_at = now
                 inflight[future] = entry
-            if pool is None:
+            if executor is None:
                 continue
             if not inflight:
                 # Everything queued is backing off: sleep to the next
@@ -678,12 +615,15 @@ def _pool_execute(
                     pool_broken = True
                     report.crashes += 1
                     retry_or_fail(entry, "crash", repr(exc), now)
+                except SimulatedCrash as exc:
+                    report.crashes += 1  # the in-process worker death
+                    retry_or_fail(entry, "crash", repr(exc), now)
                 except Exception as exc:
                     retry_or_fail(entry, "error", repr(exc), now)
                 else:
-                    # Pool wall-clock is dispatch-to-result: it includes
-                    # queue-to-worker latency, which is what the sweep
-                    # actually paid for the job.
+                    # Wall-clock is dispatch-to-result: on a pool it
+                    # includes queue-to-worker latency, which is what the
+                    # sweep actually paid for the job.
                     checkpoint(
                         entry.job, result, now - entry.dispatched_at, entry.attempt
                     )
@@ -692,8 +632,8 @@ def _pool_execute(
                     report.crashes += 1
                     retry_or_fail(entry, "crash", "worker pool died mid-run", now)
                 inflight.clear()
-                _kill_pool(pool)
-                pool = None
+                _kill_pool(executor)
+                executor = None
                 continue
             expired = {
                 future: entry
@@ -717,14 +657,14 @@ def _pool_execute(
                     if future not in expired:
                         queue.append(replace(entry, ready_at=now, deadline=None))
                 inflight.clear()
-                _kill_pool(pool)
-                pool = None
+                _kill_pool(executor)
+                executor = None
     finally:
-        if pool is not None:
+        if executor is not None:
             if inflight:
-                _kill_pool(pool)  # interrupted mid-sweep: do not hang
+                _kill_pool(executor)  # interrupted mid-sweep: do not hang
             else:
-                pool.shutdown()
+                executor.shutdown()
     return failures
 
 

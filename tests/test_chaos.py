@@ -9,9 +9,11 @@ re-executing only the jobs that never finished.
 Faults are injected deterministically via :mod:`repro.harness.faults`
 (a picklable plan evaluated inside workers), never by monkeypatching
 the executor — the production dispatch/retry/checkpoint code runs
-unmodified.  Pool-based tests skip when the sandbox cannot spawn
-process pools (``parallel.pool_available()``); the serial degradations
-(`SimulatedCrash`, checkpoint-then-``KeyboardInterrupt``) run anywhere.
+unmodified; only the tests of a host that cannot spawn workers replace
+the process-pool class.  Pool-based tests skip when the sandbox cannot
+spawn process pools (``parallel.pool_available()``); the in-process
+degradations (`SimulatedCrash`, checkpoint-then-``KeyboardInterrupt``)
+run anywhere.
 """
 
 from __future__ import annotations
@@ -40,15 +42,15 @@ from repro.harness.parallel import (
     run_jobs,
     single_job,
 )
-from repro.harness.retry import ExecPolicy, jitter_fraction
+from repro.harness.retry import ExecPolicy, backoff_delay
 from repro.harness.runner import HarnessConfig
 
 needs_pool = pytest.mark.skipif(
     not parallel.pool_available(), reason="process pools unavailable in sandbox"
 )
 
-#: Fast retries for tests: three attempts, near-zero backoff.
-FAST = ExecPolicy(attempts=3, backoff_base_s=0.01, backoff_max_s=0.05)
+#: Three attempts with the default backoff (0.05 s, then 0.1 s).
+FAST = ExecPolicy(attempts=3)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,42 @@ def fault_free(jobs):
     return run_jobs(jobs, workers=1)
 
 
+def _record_attempts(monkeypatch, match: str) -> list[int]:
+    """Wrap ``FaultPlan.apply`` to record, in order, the attempt numbers
+    this process runs for jobs whose key contains ``match`` (attempts
+    that run in a worker process are not seen)."""
+    seen: list[int] = []
+    real = FaultPlan.apply
+
+    def apply(self, job, attempt, in_process):
+        if match in repr(job.key):
+            seen.append(attempt)
+        return real(self, job, attempt, in_process)
+
+    monkeypatch.setattr(FaultPlan, "apply", apply)
+    return seen
+
+
+def _pools_that_spawn(monkeypatch, spawnable: int) -> None:
+    """Make only the first ``spawnable`` process pools the executor
+    builds work; every later pool's ``submit`` raises ``OSError``, as
+    on a host that can no longer start worker processes."""
+    built = []
+
+    class Pool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+            self.spawns = len(built) <= spawnable
+
+        def submit(self, *args, **kwargs):
+            if not self.spawns:
+                raise OSError("cannot spawn worker processes")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Pool)
+
+
 def assert_identical(results, reference):
     assert set(results) == set(reference)
     for key, ref in reference.items():
@@ -84,35 +122,28 @@ def assert_identical(results, reference):
 # Retry policy unit tests.
 # ----------------------------------------------------------------------
 def test_backoff_grows_and_caps():
-    policy = ExecPolicy(backoff_base_s=0.1, backoff_max_s=0.3, jitter=0.0)
-    delays = [policy.backoff_delay(("k",), a) for a in (1, 2, 3, 4, 5)]
-    assert delays == [0.1, 0.2, 0.3, 0.3, 0.3]
+    delays = [backoff_delay(attempt) for attempt in range(1, 9)]
+    assert delays == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
 
 
-def test_jitter_is_deterministic_and_bounded():
-    key = ("single", "403.gcc", "none")
-    assert jitter_fraction(key, 1) == jitter_fraction(key, 1)
-    assert jitter_fraction(key, 1) != jitter_fraction(key, 2)
-    for attempt in range(1, 20):
-        assert 0.0 <= jitter_fraction(key, attempt) < 1.0
-    policy = ExecPolicy(backoff_base_s=0.1, backoff_max_s=10.0, jitter=0.25)
-    delay = policy.backoff_delay(key, 1)
-    assert 0.1 <= delay <= 0.1 * 1.25
-    assert delay == policy.backoff_delay(key, 1)  # reproducible
-
-
-def test_may_retry_budget_and_deadline():
-    policy = ExecPolicy(attempts=3, retry_deadline_s=10.0)
-    assert policy.may_retry(1, 0.0) and policy.may_retry(2, 9.9)
-    assert not policy.may_retry(3, 0.0)  # attempt budget exhausted
-    assert not policy.may_retry(1, 10.1)  # deadline exceeded
+def test_attempt_budget_bounds_the_loop(monkeypatch, jobs):
+    """A job that fails on every attempt runs exactly ``attempts`` times,
+    then becomes a failure; the other jobs are untouched."""
+    seen = _record_attempts(monkeypatch, "401.bzip2")
+    plan = FaultPlan((FaultSpec(match="401.bzip2", action="error", attempts=None),))
+    report = SweepReport()
+    results = run_jobs(
+        jobs, workers=1, policy=FAST, on_error="skip", faults=plan, report=report
+    )
+    assert seen == [1, 2, 3]
+    [failure] = [entry for entry in results.values() if failed(entry)]
+    assert failure.kind == "error" and failure.attempts == 3
+    assert report.retries == 2 and report.executed == len(jobs) - 1
 
 
 def test_policy_validation():
     with pytest.raises(ValueError):
         ExecPolicy(attempts=0)
-    with pytest.raises(ValueError):
-        ExecPolicy(jitter=-0.1)
     with pytest.raises(ValueError):
         ExecPolicy(job_timeout_s=0.0)
     with pytest.raises(ValueError):
@@ -183,9 +214,7 @@ def test_worker_crash_retries_to_identical_rows(jobs, fault_free):
 def test_hang_hits_timeout_then_retry_succeeds(jobs, fault_free):
     """A first-attempt hang trips the per-job wall-clock timeout; the
     hung worker is killed and the retry (fault expired) converges."""
-    policy = ExecPolicy(
-        attempts=3, backoff_base_s=0.01, backoff_max_s=0.05, job_timeout_s=1.5
-    )
+    policy = ExecPolicy(attempts=3, job_timeout_s=1.5)
     report = SweepReport()
     results = run_jobs(
         jobs,
@@ -208,9 +237,7 @@ def test_persistent_hang_exhausts_attempts_and_skips(jobs, fault_free):
     plan = FaultPlan(
         (FaultSpec(match="458.sjeng", action="hang", attempts=None, seconds=60.0),)
     )
-    policy = ExecPolicy(
-        attempts=2, backoff_base_s=0.01, backoff_max_s=0.05, job_timeout_s=1.0
-    )
+    policy = ExecPolicy(attempts=2, job_timeout_s=1.0)
     report = SweepReport()
     results = run_jobs(
         jobs, workers=2, policy=policy, on_error="skip", faults=plan, report=report
@@ -241,11 +268,39 @@ def test_crash_exit_code_is_the_documented_one():
     assert issubclass(cf.process.BrokenProcessPool, cf.BrokenExecutor)
 
 
+@needs_pool
+def test_losing_the_pool_keeps_the_attempt_budget(monkeypatch, jobs, fault_free):
+    """A crash breaks the pool and no new pool can spawn: the sweep moves
+    in-process, and the crashed job continues at attempt 2 of its
+    2-attempt budget instead of starting over at attempt 1."""
+    _pools_that_spawn(monkeypatch, 1)
+    seen = _record_attempts(monkeypatch, "401.bzip2")
+    plan = FaultPlan((FaultSpec("401.bzip2", "crash", attempts=None),))
+    policy = ExecPolicy(attempts=2, on_error="skip")
+    results = run_jobs(jobs[:3], workers=2, policy=policy, faults=plan)
+    assert seen == [2]  # attempt 1 ran (and died) in a worker
+    [failure] = [entry for entry in results.values() if failed(entry)]
+    assert failure.kind == "crash" and failure.attempts == 2
+    for job in jobs[:3]:
+        if job.key != failure.key:
+            assert results[job.key].result == fault_free[job.key].result
+
+
+def test_pool_that_never_spawns_runs_in_process(monkeypatch, jobs, fault_free):
+    """``workers=2`` on a host that cannot spawn workers runs the whole
+    sweep in-process, with the serial run's rows and no crash counted."""
+    _pools_that_spawn(monkeypatch, 0)
+    report = SweepReport()
+    results = run_jobs(jobs, workers=2, report=report)
+    assert_identical(results, fault_free)
+    assert report.crashes == 0 and report.executed == len(jobs)
+
+
 def test_exhausted_crash_raises_by_default(jobs):
     """on_error='raise' (the default) surfaces a JobExecutionError that
     names every failed job; serial crashes degrade to SimulatedCrash."""
     plan = FaultPlan((FaultSpec(match="458.sjeng", action="crash", attempts=None),))
-    policy = ExecPolicy(attempts=2, backoff_base_s=0.01, backoff_max_s=0.05)
+    policy = ExecPolicy(attempts=2)
     with pytest.raises(JobExecutionError) as excinfo:
         run_jobs(jobs, workers=1, policy=policy, faults=plan)
     [failure] = excinfo.value.failures
@@ -258,7 +313,7 @@ def test_serial_crash_skip_still_checkpoints_good_jobs(tmp_path, jobs, fault_fre
     JobFailure row, every other job lands in the cache."""
     cache = ResultCache(tmp_path)
     plan = FaultPlan((FaultSpec(match="401.bzip2", action="crash", attempts=None),))
-    policy = ExecPolicy(attempts=2, backoff_base_s=0.01, backoff_max_s=0.05)
+    policy = ExecPolicy(attempts=2)
     report = SweepReport()
     results = run_jobs(
         jobs, workers=1, policy=policy, on_error="skip",
@@ -360,9 +415,7 @@ def test_combined_faults_converge_bit_identical(tmp_path, jobs, fault_free):
             ),
         )
     )
-    policy = ExecPolicy(
-        attempts=3, backoff_base_s=0.01, backoff_max_s=0.05, job_timeout_s=1.5
-    )
+    policy = ExecPolicy(attempts=3, job_timeout_s=1.5)
     report = SweepReport()
     chaotic = ResultCache(tmp_path)
     results = run_jobs(

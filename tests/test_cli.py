@@ -157,13 +157,22 @@ def test_fig4_honours_mechanisms(tmp_path, capsys):
     assert "para" in out and "blockhammer" not in out
 
 
-def test_exec_policy_flags_validate():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig4", "--retries", "-1"],
+        ["fig4", "--job-timeout", "0"],
+        ["fig4", "--on-error", "explode"],
+        ["fig5", "--workers", "0"],
+        ["fig5", "--workers", "-3"],
+        ["fig5", "--mixes", "-1"],
+        ["rhli", "--mixes", "0"],
+    ],
+    ids=lambda argv: "=".join(argv[1:]).lstrip("-"),
+)
+def test_exec_policy_flags_validate(argv):
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["fig4", "--retries", "-1"])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["fig4", "--job-timeout", "0"])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["fig4", "--on-error", "explode"])
+        build_parser().parse_args(argv)
 
 
 def test_progress_prints_sweep_report(capsys):

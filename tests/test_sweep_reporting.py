@@ -26,7 +26,7 @@ needs_pool = pytest.mark.skipif(
     not parallel.pool_available(), reason="process pools unavailable in sandbox"
 )
 
-FAST = ExecPolicy(attempts=3, backoff_base_s=0.01, backoff_max_s=0.05)
+FAST = ExecPolicy(attempts=3)
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +106,7 @@ def test_pool_crash_and_hang_counters_add_up(jobs):
     plan = FaultPlan(
         crash_once("401.bzip2").specs + hang_once("445.gobmk", seconds=60.0).specs
     )
-    policy = ExecPolicy(
-        attempts=3, backoff_base_s=0.01, backoff_max_s=0.05, job_timeout_s=2.5
-    )
+    policy = ExecPolicy(attempts=3, job_timeout_s=2.5)
     report = SweepReport()
     results = run_jobs(jobs, workers=2, policy=policy, faults=plan, report=report)
     assert not any(failed(entry) for entry in results.values())
