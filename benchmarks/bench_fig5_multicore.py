@@ -11,7 +11,7 @@ Paper shape (NRH = 32K):
 Two mixes per scenario keep the benchmark tractable; the paper uses 125.
 Bit-flip counts for the probabilistic mechanisms (PARA/PRoHIT/MRLoc) are
 a window-compression artifact under scaling and are reported, not
-asserted (EXPERIMENTS.md, "scaling caveats").
+asserted.
 """
 
 from repro.harness.experiments import fig5_multicore, summarize_mix_rows

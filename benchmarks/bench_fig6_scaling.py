@@ -13,7 +13,7 @@ NRH points {32K, 16K, 8K} with one mix per scenario: these are the
 points where the 1/128-window scaling keeps threshold fidelity (at
 paper-NRH 8K the scaled NBL is 16; below that, benign per-row counts
 collide with single-digit NBL values and false-positive throttling
-artifacts dominate — EXPERIMENTS.md "scaling caveats").  Lower paper
+artifacts dominate).  Lower paper
 thresholds require proportionally smaller scale factors:
 ``fig6_scaling(HarnessConfig(scale=16, ...), [1024])`` reproduces the
 paper's 1K point at ~40x the runtime.

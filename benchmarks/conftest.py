@@ -1,11 +1,11 @@
 """Shared benchmark fixtures.
 
-Every benchmark regenerates one of the paper's tables or figures (see
-DESIGN.md's per-experiment index).  Results are printed and archived in
-``benchmarks/results/`` so EXPERIMENTS.md can cite them.
+Every benchmark regenerates one of the paper's tables or figures (the
+module docstring names which).  Results are printed and archived in
+``benchmarks/results/`` (git-ignored).
 
 Scaling: simulation benchmarks use a 1/128-scaled refresh window with
-all thresholds scaled consistently (DESIGN.md substitution 3); hardware
+all thresholds scaled consistently (``DramSpec.scaled``); hardware
 cost and security benchmarks run at full paper scale (they are
 analytical).
 """

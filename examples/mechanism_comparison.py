@@ -50,7 +50,7 @@ def main() -> None:
         "\nbenign threads speed up and DRAM energy drops."
         "\n(probabilistic mechanisms may show residual flips here: their"
         "\nper-ACT probabilities are paper-scale-tuned, and the scaled"
-        "\nwindow compresses NRH — see EXPERIMENTS.md, scaling caveats.)"
+        "\nwindow compresses NRH.)"
     )
 
 

@@ -14,7 +14,7 @@ from repro import HarnessConfig, Runner, attack_mixes, format_table
 
 def main() -> None:
     # A 1/128-scale refresh window keeps the simulation snappy while
-    # preserving every threshold ratio (see DESIGN.md, substitution 3).
+    # preserving every threshold ratio (NRH is scaled by the same factor).
     hcfg = HarnessConfig(scale=128, paper_nrh=32768, instructions_per_thread=80_000)
     runner = Runner(hcfg)
     mix = attack_mixes(1)[0]

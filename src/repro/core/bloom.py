@@ -10,8 +10,6 @@ activation count, so no aggressor can evade blacklisting.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.hashing import HashFamily, MixHashFamily
 from repro.utils.rng import DeterministicRng
 from repro.utils.validation import require
@@ -29,13 +27,13 @@ class BloomFilter:
         self.hashes = hashes or MixHashFamily(
             hash_count, size, rng or DeterministicRng(0)
         )
-        self._bits = np.zeros(size, dtype=bool)
+        self._bits = bytearray(size)
         self.insertions = 0
 
     def insert(self, key: int) -> None:
         """Add ``key`` to the set."""
         for index in self.hashes.indices(key):
-            self._bits[index] = True
+            self._bits[index] = 1
         self.insertions += 1
 
     def test(self, key: int) -> bool:
@@ -45,14 +43,14 @@ class BloomFilter:
 
     def clear(self, reseed: bool = True) -> None:
         """Zero the array and (by default) re-randomize the hash seeds."""
-        self._bits[:] = False
+        self._bits = bytearray(self.size)
         self.insertions = 0
         if reseed:
             self.hashes.reseed()
 
     def fill_ratio(self) -> float:
         """Fraction of set bits (saturation indicator)."""
-        return float(self._bits.mean())
+        return sum(self._bits) / self.size
 
 
 class CountingBloomFilter:

@@ -11,7 +11,7 @@ point, :meth:`DramSpec.scaled` produces a spec whose *window-scale*
 parameters (tREFW, tREFI) are divided by a scale factor while per-command
 timings are untouched.  Mitigation thresholds (NRH, NBL, ...) must be
 scaled by the same factor so that every acts-per-window ratio the
-mechanisms depend on is preserved; see DESIGN.md substitution 3.
+mechanisms depend on is preserved.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Experiment drivers: one function per paper table/figure.
 
 Each driver returns plain data (lists of row dicts) so benchmarks,
-tests, and examples can share them.  EXPERIMENTS.md records how each
-maps to the paper.
+tests, and examples can share them.  The benchmark for each under
+``benchmarks/`` asserts the paper's claim for it.
 
 Every sweep driver follows the same three-stage shape on top of
 :mod:`repro.harness.parallel`:

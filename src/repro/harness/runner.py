@@ -1,12 +1,13 @@
 """Workload runners with consistent scaled configuration.
 
-A :class:`HarnessConfig` fixes the scaled DRAM spec (DESIGN.md
-substitution 3) and the *paper-scale* RowHammer threshold; everything
-downstream — the disturbance model, every mechanism's context, and
-BlockHammer's Table 7 configuration — sees the consistently-scaled
-``sim_nrh``.  The :class:`Runner` executes single-application and
-multiprogrammed workloads; the alone runs behind the multiprogram
-metrics are ``single`` jobs of :mod:`repro.harness.parallel`.
+A :class:`HarnessConfig` fixes the scaled DRAM spec
+(:meth:`DramSpec.scaled`) and the *paper-scale* RowHammer threshold;
+everything downstream — the disturbance model, every mechanism's
+context, and BlockHammer's Table 7 configuration — sees the
+consistently-scaled ``sim_nrh``.  The :class:`Runner` executes
+single-application and multiprogrammed workloads; the alone runs behind
+the multiprogram metrics are ``single`` jobs of
+:mod:`repro.harness.parallel`.
 """
 
 from __future__ import annotations

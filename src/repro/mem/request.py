@@ -46,6 +46,10 @@ class Request:
     until ``blocked_wake``" verdict: the scheduler trusts it without
     re-querying while ``now < blocked_until`` (the verdict's stability
     horizon, see ``MitigationMechanism.act_block_stable``).
+    ``safe_act_time``/``safe_until`` cache a "safe now" verdict the same
+    way: it stands while the bank's ``last_act_time`` still equals
+    ``safe_act_time`` (no ACT on the bank since) and ``now <
+    safe_until`` (the stability horizon in force at that answer).
     """
 
     __slots__ = (
@@ -59,6 +63,8 @@ class Request:
         "queue_seq",
         "blocked_until",
         "blocked_wake",
+        "safe_act_time",
+        "safe_until",
         "is_write",
         "channel",
         "rank",
@@ -91,6 +97,8 @@ class Request:
         self.queue_seq = queue_seq
         self.blocked_until = blocked_until
         self.blocked_wake = blocked_wake
+        self.safe_act_time = 0.0
+        self.safe_until = 0.0
         # Denormalized plain attributes: these are read in the
         # scheduler's innermost loop (and the MemorySystem's channel
         # router), where a property or a nested dataclass hop per

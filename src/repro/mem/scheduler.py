@@ -200,9 +200,12 @@ def _examine_bank(
     # Closed or conflict bank: the oldest RowHammer-safe request decides
     # the row command; blocked requests ahead of it bound the entry's
     # lifetime ("unsafe until T" verdicts are cached on the request and
-    # trusted until the mechanism's stability horizon).
+    # trusted until the mechanism's stability horizon).  A "safe"
+    # verdict is cached too and survives RD/WR/PRE dirties of the bank:
+    # only an ACT on the bank or the horizon can revoke it.
     expires = stable
     wake = _NEVER
+    last_act = bank.last_act_time
     for req in bank_requests:
         bu = req.blocked_until
         if bu > now:
@@ -212,7 +215,13 @@ def _examine_bank(
             if w < wake:
                 wake = w
             continue
-        allowed = act_allowed_at(req.rank, req.bank, req.row, req.thread, now)
+        if req.safe_until > now and req.safe_act_time == last_act:
+            allowed = now
+        else:
+            allowed = act_allowed_at(req.rank, req.bank, req.row, req.thread, now)
+            if allowed <= now:
+                req.safe_act_time = last_act
+                req.safe_until = stable
         if allowed > now:
             req.blocked_wake = allowed
             bu = stable if stable < allowed else allowed

@@ -198,7 +198,8 @@ class MitigationMechanism:
     #:   that bank's cached scheduling state.
     #:
     #: The scheduler caches blocked verdicts on the request until
-    #: ``min(allowed, act_block_stable)`` and whole-bank decisions (the
+    #: ``min(allowed, act_block_stable)``, safe verdicts until that
+    #: horizon or the bank's next ACT, and whole-bank decisions (the
     #: incremental FR-FCFS candidate cache) until the same horizon.  The
     #: default (-inf) disables caching — every scheduling step
     #: re-queries, exactly like a naive scan.  Mechanisms with

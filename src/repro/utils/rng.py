@@ -7,6 +7,7 @@ that every experiment is reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import random
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -26,6 +27,10 @@ def splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z = z ^ (z >> 31)
     return state, z
+
+
+def _zero() -> int:
+    return 0
 
 
 class DeterministicRng:
@@ -67,15 +72,26 @@ class DeterministicRng:
 
         Used by trace generators for inter-request instruction gaps.
         """
+        return self.geometric_sampler(mean)()
+
+    def geometric_sampler(self, mean: float):
+        """A zero-argument :meth:`geometric` for a fixed ``mean``.
+
+        Each call draws from this RNG exactly as ``geometric(mean)``
+        would; ``log(1 - p)`` is computed once instead of per sample.
+        """
         if mean <= 0.0:
-            return 0
+            return _zero
         # Inverse-CDF sampling of a geometric distribution with the
         # requested mean; p = 1 / (mean + 1).
-        u = self._random.random()
-        import math
+        draw = self._random.random
+        log = math.log
+        log_q = log(1.0 - 1.0 / (mean + 1.0))
 
-        p = 1.0 / (mean + 1.0)
-        return int(math.log(max(u, 1e-12)) / math.log(1.0 - p))
+        def sample() -> int:
+            return int(log(max(draw(), 1e-12)) / log_q)
+
+        return sample
 
     def fork(self, label: str) -> "DeterministicRng":
         """Derive an independent child RNG from this one.

@@ -64,6 +64,15 @@ class ProfileTrace(Trace):
         self._current_row = [0] * spec.banks_per_rank
         self._current_col = [0] * spec.banks_per_rank
         self._stream_row = 0
+        # Per-record constants, resolved once: the profile is frozen, so
+        # its derived rates cannot change under a running stream.
+        self._gap = rng.geometric_sampler(profile.gap_mean)
+        self._uniform = rng.uniform
+        self._randint = rng.randint
+        self._conflict_fraction = profile.conflict_fraction
+        self._write_fraction = profile.write_fraction
+        self._columns_per_row = spec.columns_per_row
+        self._encode = mapping.encode
         for bank in range(spec.banks_per_rank):
             self._current_row[bank] = self._pick_new_row(bank)
 
@@ -74,31 +83,30 @@ class ProfileTrace(Trace):
             self._stream_row += 1
             row = self._stream_row % profile.working_set_rows
         else:
-            row = self.rng.randint(0, profile.working_set_rows - 1)
+            row = self._randint(0, profile.working_set_rows - 1)
         return (row + self.row_offset) % self.spec.rows_per_bank
 
     def _pick_bank(self) -> int:
         # Round-robin with random skips: spreads load across banks while
         # revisiting banks often enough for open rows to be reused.
-        step = 1 if self.rng.uniform() < 0.75 else self.rng.randint(2, 3)
+        step = 1 if self._uniform() < 0.75 else self._randint(2, 3)
         self._bank_cursor = (self._bank_cursor + step) % self.banks_used
         return self._bank_cursor
 
     def next_record(self) -> TraceRecord:
-        profile = self.profile
-        gap = self.rng.geometric(profile.gap_mean)
+        gap = self._gap()
         bank = self._pick_bank()
-        if self.rng.uniform() < profile.conflict_fraction:
+        uniform = self._uniform
+        if uniform() < self._conflict_fraction:
             self._current_row[bank] = self._pick_new_row(bank)
             self._current_col[bank] = 0
-        col = self._current_col[bank]
-        self._current_col[bank] = (col + 1) % self.spec.columns_per_row
+        current_col = self._current_col
+        col = current_col[bank]
+        current_col[bank] = (col + 1) % self._columns_per_row
         row = self._current_row[bank]
         channel = row % self._channels if self._affinity is None else self._affinity
-        address = self.mapping.encode(
-            DecodedAddress(self.rank, bank, row, col, channel)
-        )
-        is_write = self.rng.uniform() < profile.write_fraction
+        address = self._encode(DecodedAddress(self.rank, bank, row, col, channel))
+        is_write = uniform() < self._write_fraction
         return TraceRecord(gap=gap, address=address, is_write=is_write)
 
 

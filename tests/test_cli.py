@@ -1,13 +1,41 @@
 """Tests for the command-line experiment runner."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.harness.cli import build_parser, main
 
 
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    """Only the Section 5 solver needs scipy (and numpy): importing the
+    package and the CLI must not load them, yet the proof stays
+    reachable as ``repro.prove_safety``."""
+    code = (
+        "import sys, repro, repro.harness.cli\n"
+        "heavy = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "assert not heavy, heavy\n"
+        "import repro.security.solver\n"
+        "assert repro.prove_safety is repro.security.solver.prove_safety\n"
+        "names = {}\n"
+        "exec('from repro import *', names)\n"
+        "assert names['simulate_optimal_attack'] is repro.simulate_optimal_attack\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_table1_command(capsys):

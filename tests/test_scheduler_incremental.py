@@ -204,6 +204,45 @@ def test_never_blocking_mechanism_caches_forever(device):
     assert entry[4] > 1.0e29  # never expires; only dirtying re-walks
 
 
+def test_safe_verdict_survives_rd_and_pre_until_act_or_horizon(device):
+    """A queued safe decider is queried once across RD and PRE dirties
+    of its bank; an ACT on the bank or the horizon forces a re-query."""
+    mech = EpochBlocker(epoch_ns=500.0, block_fraction=0.0)  # never blocks
+    mech.advance_to(0.0)
+    policy = FrFcfsPolicy()
+    queue = RequestQueue(16)
+    key = bank_key(0, 0)
+    decider = make_request(bank=0, row=3)
+    queue.push(decider)
+    bank = device.bank(0, 0)
+
+    def issue(kind, row, at):
+        command = Command(kind, 0, 0, row)
+        now = device.earliest_issue(command, at)
+        device.issue(command, now)
+        queue.invalidate_bank(key)  # as the controller does per command
+        return now
+
+    def queries_after_select(now):
+        sel = policy.select(queue, device, mech, now, NO_BLOCK)
+        assert sel.command is None or sel.request is decider
+        return mech.queries
+
+    now = issue(CommandKind.ACT, 5, 0.0)  # row 5 open: the decider conflicts
+    assert queries_after_select(now) == 1
+    now = issue(CommandKind.RD, 5, now)
+    assert queries_after_select(now) == 1  # re-walked, not re-queried
+    now = issue(CommandKind.PRE, 5, now)
+    assert bank.open_row is None
+    assert queries_after_select(now) == 1
+    now = issue(CommandKind.ACT, 7, now)  # an ACT on the bank revokes it
+    assert queries_after_select(now) == 2
+    horizon = mech.act_block_stable
+    assert now < horizon
+    mech.advance_to(horizon)
+    assert queries_after_select(horizon) == 3
+
+
 # ----------------------------------------------------------------------
 # Randomized never-stale property.
 # ----------------------------------------------------------------------
