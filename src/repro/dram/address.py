@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.dram.spec import DramSpec
 from repro.utils.validation import require
@@ -69,6 +70,17 @@ class DecodedAddress:
     channel: int = 0
 
 
+class RankLayout(NamedTuple):
+    """One rank's address layout, from :meth:`AddressMapping.layout`."""
+
+    row_stride: int
+    channel_stride: int
+    #: Byte offset of each bank of the rank (rank digit included).
+    bank_offsets: tuple[int, ...]
+    #: Byte offset of each column of a row.
+    col_offsets: tuple[int, ...]
+
+
 class AddressMapping:
     """Bidirectional mapping between byte addresses and DRAM coordinates.
 
@@ -78,7 +90,9 @@ class AddressMapping:
 
     so ``mop_run`` consecutive lines land in the same row of the same
     bank (of the same channel) before the stream moves to the next
-    channel, then the next bank.
+    channel, then the next bank.  ROW_BANK_COL layout::
+
+        [line offset | column | channel | bank | rank | row]
 
     Decoding is memoized per byte address: cores replay looping traces,
     so the same line addresses are decoded millions of times per
@@ -97,6 +111,25 @@ class AddressMapping:
         self.spec = spec
         self.scheme = scheme
         self.mop_run = mop_run
+        # The mixed-radix layout, least-significant digit first: the
+        # byte stride of every field.  decode, encode and layout all
+        # read these and nothing else.  ROW_BANK_COL is MOP with one
+        # run spanning the whole row, so its high-column digit has
+        # radix 1 and is always 0.
+        self._low_cols = mop_run if scheme is MappingScheme.MOP else spec.columns_per_row
+        self._high_cols = spec.columns_per_row // self._low_cols
+        stride = spec.line_bytes
+        self._col_stride = stride
+        stride *= self._low_cols
+        self._channel_stride = stride
+        stride *= spec.channels
+        self._bank_stride = stride
+        stride *= spec.banks_per_rank
+        self._rank_stride = stride
+        stride *= spec.ranks
+        self._high_col_stride = stride
+        stride *= self._high_cols
+        self._row_stride = stride
         # Per-instance decode memo (hot path: Core._fetch_next decodes
         # one address per trace record).  Mappings are long-lived and
         # memoized per spec, so the memo is shared by every replay of a
@@ -112,56 +145,53 @@ class AddressMapping:
             return cached
         require(address >= 0, "address must be non-negative")
         s = self.spec
-        line = address // s.line_bytes
-        if self.scheme is MappingScheme.MOP:
-            low_col = line % self.mop_run
-            line //= self.mop_run
-            channel = line % s.channels
-            line //= s.channels
-            bank = line % s.banks_per_rank
-            line //= s.banks_per_rank
-            rank = line % s.ranks
-            line //= s.ranks
-            high_col = line % (s.columns_per_row // self.mop_run)
-            line //= s.columns_per_row // self.mop_run
-            row = line % s.rows_per_bank
-            col = high_col * self.mop_run + low_col
-            decoded = DecodedAddress(rank, bank, row, col, channel)
-        else:
-            # ROW_BANK_COL: [col | channel | bank | rank | row]
-            col = line % s.columns_per_row
-            line //= s.columns_per_row
-            channel = line % s.channels
-            line //= s.channels
-            bank = line % s.banks_per_rank
-            line //= s.banks_per_rank
-            rank = line % s.ranks
-            line //= s.ranks
-            row = line % s.rows_per_bank
-            decoded = DecodedAddress(rank, bank, row, col, channel)
+        high_col = (address // self._high_col_stride) % self._high_cols
+        low_col = (address // self._col_stride) % self._low_cols
+        decoded = DecodedAddress(
+            (address // self._rank_stride) % s.ranks,
+            (address // self._bank_stride) % s.banks_per_rank,
+            (address // self._row_stride) % s.rows_per_bank,
+            high_col * self._low_cols + low_col,
+            (address // self._channel_stride) % s.channels,
+        )
         if len(self._decode_cache) >= _DECODE_CACHE_LIMIT:
             self._decode_cache.clear()
         self._decode_cache[address] = decoded
         return decoded
 
+    def _col_offset(self, col: int) -> int:
+        high_col, low_col = divmod(col, self._low_cols)
+        return high_col * self._high_col_stride + low_col * self._col_stride
+
     def encode(self, decoded: DecodedAddress) -> int:
         """Inverse of :meth:`decode` (returns a byte address)."""
+        return (
+            decoded.rank * self._rank_stride
+            + decoded.bank * self._bank_stride
+            + decoded.row * self._row_stride
+            + self._col_offset(decoded.col)
+            + decoded.channel * self._channel_stride
+        )
+
+    def layout(self, rank: int = 0) -> RankLayout:
+        """The strides and offsets that :meth:`encode` sums, for ``rank``.
+
+        ``encode(DecodedAddress(rank, bank, row, col, channel))`` equals
+        ``bank_offsets[bank] + row * row_stride + col_offsets[col] +
+        channel * channel_stride`` for every in-range coordinate, so a
+        trace generator can build addresses without a
+        :class:`DecodedAddress` per record.
+        """
         s = self.spec
-        if self.scheme is MappingScheme.MOP:
-            high_col, low_col = divmod(decoded.col, self.mop_run)
-            line = decoded.row
-            line = line * (s.columns_per_row // self.mop_run) + high_col
-            line = line * s.ranks + decoded.rank
-            line = line * s.banks_per_rank + decoded.bank
-            line = line * s.channels + decoded.channel
-            line = line * self.mop_run + low_col
-            return line * s.line_bytes
-        line = decoded.row
-        line = line * s.ranks + decoded.rank
-        line = line * s.banks_per_rank + decoded.bank
-        line = line * s.channels + decoded.channel
-        line = line * s.columns_per_row + decoded.col
-        return line * s.line_bytes
+        rank_offset = rank * self._rank_stride
+        return RankLayout(
+            row_stride=self._row_stride,
+            channel_stride=self._channel_stride,
+            bank_offsets=tuple(
+                rank_offset + bank * self._bank_stride for bank in range(s.banks_per_rank)
+            ),
+            col_offsets=tuple(self._col_offset(col) for col in range(s.columns_per_row)),
+        )
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import random
 
+from repro.utils.validation import require
+
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -55,6 +57,11 @@ class DeterministicRng:
         """Return a float in [0, 1)."""
         return self._random.random()
 
+    def uniform_sampler(self):
+        """A zero-argument :meth:`uniform`: the bound
+        ``random.Random.random`` itself, so a draw runs no Python frame."""
+        return self._random.random
+
     def randint(self, low: int, high: int) -> int:
         """Return an integer in [low, high] inclusive."""
         return self._random.randint(low, high)
@@ -89,7 +96,33 @@ class DeterministicRng:
         log_q = log(1.0 - 1.0 / (mean + 1.0))
 
         def sample() -> int:
-            return int(log(max(draw(), 1e-12)) / log_q)
+            u = draw()
+            return int(log(u if u > 1e-12 else 1e-12) / log_q)
+
+        return sample
+
+    def int_sampler(self, low: int, high: int):
+        """A zero-argument :meth:`randint` for a fixed ``[low, high]``.
+
+        Each call draws from this RNG exactly as ``randint(low, high)``
+        would, in one Python frame instead of three.  CPython's
+        ``randint(a, b)`` is ``a + _randbelow(b - a + 1)``, and
+        ``random.Random._randbelow`` is ``_randbelow_with_getrandbits``:
+        rejection sampling over ``getrandbits(n.bit_length())``.  This is
+        the one place that relies on that internal; the record-stream
+        digest (``tests/trace_digest.py``) and ``tests/test_rng.py``
+        check it against ``randint`` on every supported interpreter.
+        """
+        require(high >= low, f"empty integer range [{low}, {high}]")
+        n = high - low + 1
+        bits = n.bit_length()
+        getrandbits = self._random.getrandbits
+
+        def sample() -> int:
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            return low + r
 
         return sample
 

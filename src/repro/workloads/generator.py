@@ -20,7 +20,7 @@ mapping, so the core-side decode is exactly inverse to generation.
 from __future__ import annotations
 
 from repro.cpu.trace import Trace, TraceRecord
-from repro.dram.address import AddressMapping, DecodedAddress
+from repro.dram.address import AddressMapping
 from repro.dram.spec import DramSpec
 from repro.utils.rng import DeterministicRng
 from repro.workloads.profiles import WorkloadProfile
@@ -61,53 +61,62 @@ class ProfileTrace(Trace):
             else profile.channel_affinity % spec.channels
         )
         self._bank_cursor = 0
-        self._current_row = [0] * spec.banks_per_rank
         self._current_col = [0] * spec.banks_per_rank
         self._stream_row = 0
         # Per-record constants, resolved once: the profile is frozen, so
         # its derived rates cannot change under a running stream.
         self._gap = rng.geometric_sampler(profile.gap_mean)
-        self._uniform = rng.uniform
-        self._randint = rng.randint
+        self._uniform = rng.uniform_sampler()
+        self._bank_skip = rng.int_sampler(2, 3)
+        self._draw_row = rng.int_sampler(0, profile.working_set_rows - 1)
+        self._streaming = profile.streaming
+        self._working_set_rows = profile.working_set_rows
+        self._rows_per_bank = spec.rows_per_bank
         self._conflict_fraction = profile.conflict_fraction
         self._write_fraction = profile.write_fraction
         self._columns_per_row = spec.columns_per_row
-        self._encode = mapping.encode
+        layout = mapping.layout(rank)
+        self._bank_offsets = layout.bank_offsets
+        self._col_offsets = layout.col_offsets
+        self._row_stride = layout.row_stride
+        self._channel_stride = layout.channel_stride
+        # Each bank's open row, as the address of its column 0:
+        # ``bank_offsets[bank] + row * row_stride + channel *
+        # channel_stride``.  Only a new row moves it, so a record's
+        # address is one add of its column offset.
+        self._row_base = [0] * spec.banks_per_rank
         for bank in range(spec.banks_per_rank):
-            self._current_row[bank] = self._pick_new_row(bank)
+            self._open_row(bank)
 
     # ------------------------------------------------------------------
-    def _pick_new_row(self, bank: int) -> int:
-        profile = self.profile
-        if profile.streaming:
+    def _open_row(self, bank: int) -> None:
+        if self._streaming:
             self._stream_row += 1
-            row = self._stream_row % profile.working_set_rows
+            row = self._stream_row % self._working_set_rows
         else:
-            row = self._randint(0, profile.working_set_rows - 1)
-        return (row + self.row_offset) % self.spec.rows_per_bank
-
-    def _pick_bank(self) -> int:
-        # Round-robin with random skips: spreads load across banks while
-        # revisiting banks often enough for open rows to be reused.
-        step = 1 if self._uniform() < 0.75 else self._randint(2, 3)
-        self._bank_cursor = (self._bank_cursor + step) % self.banks_used
-        return self._bank_cursor
+            row = self._draw_row()
+        row = (row + self.row_offset) % self._rows_per_bank
+        channel = row % self._channels if self._affinity is None else self._affinity
+        self._row_base[bank] = (
+            self._bank_offsets[bank] + row * self._row_stride + channel * self._channel_stride
+        )
+        self._current_col[bank] = 0
 
     def next_record(self) -> TraceRecord:
         gap = self._gap()
-        bank = self._pick_bank()
         uniform = self._uniform
+        # Round-robin with random skips: spreads load across banks while
+        # revisiting banks often enough for open rows to be reused.
+        step = 1 if uniform() < 0.75 else self._bank_skip()
+        bank = self._bank_cursor = (self._bank_cursor + step) % self.banks_used
         if uniform() < self._conflict_fraction:
-            self._current_row[bank] = self._pick_new_row(bank)
-            self._current_col[bank] = 0
+            self._open_row(bank)
         current_col = self._current_col
         col = current_col[bank]
         current_col[bank] = (col + 1) % self._columns_per_row
-        row = self._current_row[bank]
-        channel = row % self._channels if self._affinity is None else self._affinity
-        address = self._encode(DecodedAddress(self.rank, bank, row, col, channel))
-        is_write = uniform() < self._write_fraction
-        return TraceRecord(gap=gap, address=address, is_write=is_write)
+        return TraceRecord(
+            gap, self._row_base[bank] + self._col_offsets[col], uniform() < self._write_fraction
+        )
 
 
 class _RecordStream:

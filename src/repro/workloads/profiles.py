@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.utils.validation import ConfigError
+from repro.utils.validation import ConfigError, require
 
 
 class Category(enum.Enum):
@@ -51,6 +51,19 @@ class WorkloadProfile:
     #: whose pages land on a single channel — the skewed-load scenarios
     #: a channel-sharded memory system must be exercised against.
     channel_affinity: int | None = None
+
+    def __post_init__(self) -> None:
+        require(self.mpki >= 0, f"{self.name}: mpki must be >= 0")
+        require(self.rbcpki >= 0, f"{self.name}: rbcpki must be >= 0")
+        require(self.working_set_rows >= 1, f"{self.name}: working_set_rows must be >= 1")
+        require(self.banks_used >= 1, f"{self.name}: banks_used must be >= 1")
+        require(
+            0 <= self.write_fraction <= 1, f"{self.name}: write_fraction must be in [0, 1]"
+        )
+        require(
+            self.channel_affinity is None or self.channel_affinity >= 0,
+            f"{self.name}: channel_affinity must be None or >= 0",
+        )
 
     def pinned_to(self, channel: int) -> "WorkloadProfile":
         """This profile with its working set confined to ``channel``

@@ -67,6 +67,32 @@ def test_encode_specific_coordinate():
     assert mapping.decode(mapping.encode(target)) == target
 
 
+@pytest.mark.parametrize("scheme", list(MappingScheme))
+@pytest.mark.parametrize("channels, ranks", [(1, 1), (2, 1), (4, 1), (2, 2)])
+def test_layout_strides_sum_to_encode(scheme, channels, ranks):
+    """``layout(rank)``'s offsets and strides add up to ``encode`` for
+    every rank, bank, channel and column, and across the row range."""
+    from dataclasses import replace
+
+    spec = replace(DDR4_2400, channels=channels, ranks=ranks)
+    mapping = AddressMapping(spec, scheme)
+    for rank in range(ranks):
+        layout = mapping.layout(rank)
+        assert len(layout.bank_offsets) == spec.banks_per_rank
+        assert len(layout.col_offsets) == spec.columns_per_row
+        for channel in range(channels):
+            for bank in range(spec.banks_per_rank):
+                for row in (0, 1, 1234, spec.rows_per_bank - 1):
+                    for col in range(spec.columns_per_row):
+                        target = DecodedAddress(rank, bank, row, col, channel)
+                        assert (
+                            layout.bank_offsets[bank]
+                            + row * layout.row_stride
+                            + layout.col_offsets[col]
+                            + channel * layout.channel_stride
+                        ) == mapping.encode(target)
+
+
 def test_mop_run_must_divide_columns():
     import pytest as _pytest
     from repro.utils.validation import ConfigError

@@ -1,8 +1,10 @@
 """Unit tests for the deterministic RNG."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils.rng import DeterministicRng, splitmix64
+from repro.utils.validation import ConfigError
 
 
 def test_same_seed_same_stream():
@@ -68,3 +70,20 @@ def test_geometric_mean_tracks_target():
 def test_geometric_zero_mean():
     rng = DeterministicRng(3)
     assert rng.geometric(0.0) == 0
+
+
+@pytest.mark.parametrize(
+    "low, high", [(0, 2047), (2, 3), (5, 5), (-3, 1000), (0, (1 << 40) + 3)]
+)
+def test_int_sampler_matches_randint(low, high):
+    """Same values, same RNG consumption: a same-seeded ``randint``
+    stream, and the next ``uniform`` draw, agree exactly."""
+    a, b = DeterministicRng(11), DeterministicRng(11)
+    draw = a.int_sampler(low, high)
+    assert [draw() for _ in range(10_000)] == [b.randint(low, high) for _ in range(10_000)]
+    assert a.uniform_sampler()() == b.uniform()
+
+
+def test_int_sampler_rejects_empty_range():
+    with pytest.raises(ConfigError):
+        DeterministicRng(1).int_sampler(3, 2)

@@ -1,5 +1,7 @@
 """Unit tests for trace primitives."""
 
+import pickle
+
 import pytest
 
 from repro.cpu.trace import CallableTrace, ListTrace, TraceRecord
@@ -11,6 +13,31 @@ def test_record_validation():
         TraceRecord(gap=-1, address=0)
     with pytest.raises(ConfigError):
         TraceRecord(gap=0, address=-5)
+
+
+def test_record_is_immutable():
+    record = TraceRecord(1, 64)
+    with pytest.raises(AttributeError):
+        record.gap = 2
+    with pytest.raises(AttributeError):
+        record.address = 0
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert (record.gap, record.address, record.is_write) == (1, 64, False)
+
+
+def test_record_value_semantics():
+    a = TraceRecord(3, 128, True)
+    b = TraceRecord(gap=3, address=128, is_write=True)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != TraceRecord(3, 128) and a != TraceRecord(4, 128, True)
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_record_repr():
+    assert repr(TraceRecord(3, 128, True)) == "TraceRecord(gap=3, address=128, is_write=True)"
+    assert repr(TraceRecord(0, 64)) == "TraceRecord(gap=0, address=64, is_write=False)"
 
 
 def test_list_trace_loops():

@@ -69,6 +69,27 @@ def test_unknown_profile_rejected():
         profile_by_name("430.doom")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("working_set_rows", 0),
+        ("banks_used", 0),
+        ("write_fraction", 1.5),
+        ("write_fraction", -0.1),
+        ("mpki", -1.0),
+        ("rbcpki", -0.5),
+        ("channel_affinity", -1),
+    ],
+)
+def test_profile_rejects_bad_values_at_construction(field, value):
+    """A bad knob fails when the profile is made, not deep inside the
+    trace build (or never, for a write fraction above 1)."""
+    from dataclasses import replace
+
+    with pytest.raises(ConfigError, match=field):
+        replace(profile_by_name("429.mcf"), **{field: value})
+
+
 # ----------------------------------------------------------------------
 # Generator.
 # ----------------------------------------------------------------------
