@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The repo's one performance gate: exact layer counts and a CPU-time A/B.
+"""The repo's one performance gate: exact layer counts and a CPU/memory A/B.
 
 1. **Count record.** Runs ``perfbench/run.py --seed 1 --trace 1`` on
    every workload of ``BENCHMARK.json``.  Each run must be ``correct``
@@ -7,12 +7,15 @@
    the committed ``benchmarks/layer_counts.json``.  The counts are
    deterministic and do not drift with the host, so any differing,
    missing or extra metric fails.
-2. **CPU A/B.** Extracts the parent tree with ``git archive`` and runs
-   interleaved parent/change pairs of ``attack-blockhammer --trace 0``
-   on this host.  Fails when the median change ``cpu_s`` exceeds the
-   median parent ``cpu_s`` by more than 20%, or when any run is not
-   ``correct``.  The parent is ``HEAD`` when tracked files differ from
-   it (a local change) and ``HEAD^`` otherwise (a checked-out commit).
+2. **CPU and memory A/B.** Extracts the parent tree with ``git
+   archive`` and runs interleaved parent/change pairs of
+   ``attack-blockhammer --trace 0`` on this host.  Fails when the
+   median change ``cpu_s`` exceeds the median parent ``cpu_s`` by more
+   than 20%, when the median change ``peak_rss_mb`` exceeds the median
+   parent ``peak_rss_mb`` by more than the ``peak_rss_mb`` bound of
+   ``BENCHMARK.json``, or when any run is not ``correct``.  The parent
+   is ``HEAD`` when tracked files differ from it (a local change) and
+   ``HEAD^`` otherwise (a checked-out commit).
 
 Run it from anywhere in the checkout::
 
@@ -85,12 +88,22 @@ def count_failures(workload: str, recorded: dict, measured: dict) -> list[str]:
     ]
 
 
-def ab_failures(parent_cpu: list[float], change_cpu: list[float]) -> list[str]:
-    """A failure when the median change ``cpu_s`` is past the bound."""
-    ratio = statistics.median(change_cpu) / statistics.median(parent_cpu)
-    verdict = "past" if ratio > 1 + AB_BOUND else "within"
-    message = (f"{AB_WORKLOAD}: median cpu_s change/parent {ratio:.3f}, "
-               f"{verdict} the {1 + AB_BOUND:.2f} bound")
+def declared_bound(metric: str) -> float:
+    """The bound ``BENCHMARK.json`` declares for an end-to-end metric."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    return next(entry["bound"] for entry in declared if entry["name"] == metric)
+
+
+def ab_failures(
+    parent: list[float], change: list[float], metric: str = "cpu_s",
+    bound: float = AB_BOUND,
+) -> list[str]:
+    """A failure when the median change ``metric`` (lower is better)
+    is past ``bound`` relative to the median parent."""
+    ratio = statistics.median(change) / statistics.median(parent)
+    verdict = "past" if ratio > 1 + bound else "within"
+    message = (f"{AB_WORKLOAD}: median {metric} change/parent {ratio:.3f}, "
+               f"{verdict} the {1 + bound:.2f} bound")
     print(f"perf-guard: {message}")
     return [message] if verdict == "past" else []
 
@@ -138,6 +151,7 @@ def check_ab(parent: pathlib.Path) -> list[str]:
     """Interleaved parent/change ``--trace 0`` pairs, alternating order."""
     trees = {"parent": parent, "change": ROOT}
     cpu = {"parent": [], "change": []}
+    rss = {"parent": [], "change": []}
     failures = []
     for pair in range(AB_PAIRS):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -148,10 +162,14 @@ def check_ab(parent: pathlib.Path) -> list[str]:
             failures += run_failures(label, result)
             if result["metrics"]:
                 cpu[side].append(result["metrics"]["cpu_s"]["value"])
-                print(f"perf-guard: {label}: cpu_s {cpu[side][-1]:.2f}")
+                rss[side].append(result["metrics"]["peak_rss_mb"]["value"])
+                print(f"perf-guard: {label}: cpu_s {cpu[side][-1]:.2f}, "
+                      f"peak_rss_mb {rss[side][-1]:.1f}")
     if failures:
         return failures
-    return ab_failures(cpu["parent"], cpu["change"])
+    return ab_failures(cpu["parent"], cpu["change"]) + ab_failures(
+        rss["parent"], rss["change"], "peak_rss_mb", declared_bound("peak_rss_mb")
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

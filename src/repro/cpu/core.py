@@ -98,11 +98,6 @@ class Core:
         # and the mapping's memoized decoder.
         self._ns_per_instr = self.params.ns_per_instruction
         self._decode = mapping.decode
-        # Bound-at-init dispatch: ``wake`` is an instance attribute
-        # pointing at the live implementation; deschedule() swaps in
-        # the dead-core stub, so the per-wake descheduled test the
-        # running path used to pay disappears entirely.
-        self.wake = self._wake_running
 
     # ------------------------------------------------------------------
     @property
@@ -133,14 +128,19 @@ class Core:
         return self.instructions_retired >= self.instructions_target
 
     # ------------------------------------------------------------------
-    def _wake_running(self, now: float) -> float | None:
+    def wake(self, now: float) -> float | None:
         """Advance the core as far as possible at ``now``.
 
         Returns the next time the core needs waking, or None when it is
-        blocked waiting for a read completion (or finished).  Installed
-        as ``self.wake`` while the core is scheduled; a descheduled core
-        dispatches to :meth:`_wake_dead` instead.
+        blocked waiting for a read completion (or finished).  A killed
+        (descheduled) core issues nothing more.
         """
+        if self.descheduled_at is not None:
+            return None
+        return self._wake_running(now)
+
+    def _wake_running(self, now: float) -> float | None:
+        """:meth:`wake` for a core that is still scheduled."""
         controller = self.controller
         outstanding = self._outstanding_reads
         max_outstanding = self._mlp_limit
@@ -185,10 +185,6 @@ class Core:
             if not request.is_write:
                 outstanding.add(request.request_id)
 
-    def _wake_dead(self, now: float) -> None:
-        """A killed core issues nothing more."""
-        return None
-
     def on_complete(self, request: Request, now: float) -> None:
         """A read this core issued has returned its data."""
         self._outstanding_reads.discard(request.request_id)
@@ -206,7 +202,6 @@ class Core:
         if self.descheduled_at is None:
             self.descheduled_at = now
             self.requests_at_deschedule = self.requests_issued
-            self.wake = self._wake_dead
 
     def set_mlp_scale(self, scale: float) -> None:
         """Scale the MLP limit (OS quota): effective max-outstanding is

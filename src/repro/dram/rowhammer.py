@@ -115,16 +115,14 @@ class DisturbanceModel:
             return
         end = start + count
         rows = self.rows
-
-        def in_range(row: int) -> bool:
-            if end <= rows:
-                return start <= row < end
-            return row >= start or row < end - rows
-
         if len(self._disturbance) + len(self._flipped) <= count:
-            for row in [r for r in self._disturbance if in_range(r)]:
+            # The group is [start, end) when it does not wrap; when it
+            # does, it is every row outside the gap [end - rows, start).
+            wraps = end > rows
+            low, high = (end - rows, start) if wraps else (start, end)
+            for row in [r for r in self._disturbance if (low <= r < high) is not wraps]:
                 del self._disturbance[row]
-            for row in [r for r in self._flipped if in_range(r)]:
+            for row in [r for r in self._flipped if (low <= r < high) is not wraps]:
                 self._flipped.discard(row)
         else:
             for offset in range(count):

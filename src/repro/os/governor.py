@@ -5,11 +5,11 @@ scheduling decisions: once per epoch it samples a
 :class:`~repro.os.telemetry.TelemetrySample` and hands it to its
 policies, which act back through the governor (it is its own action
 sink).  :meth:`attach` binds the governor to a
-:class:`~repro.sim.system.System`; the event loop drives reviews
-(``System._fire_governor``) and actions land on cores: kill
-deschedules the thread (zero requests after the kill timestamp),
-quota scales the core's memory-level-parallelism limit, migrate
-re-pins the core's future requests to a quarantine channel.
+:class:`~repro.sim.system.System` for the length of its run; the event
+loop drives reviews (``System._fire_governor``) and actions land on
+cores: kill deschedules the thread (zero requests after the kill
+timestamp), quota scales the core's memory-level-parallelism limit,
+migrate re-pins the core's future requests to a quarantine channel.
 Telemetry aggregates across every channel (counters sum, RHLI maxes
 — ``MemorySystem.os_telemetry``).
 
@@ -62,6 +62,11 @@ class Governor:
         self._system = system
         if self.epoch_ns is None:
             self.epoch_ns = self._default_epoch(system)
+
+    def detach(self) -> None:
+        """Unbind from the System (its run has ended); the action
+        record stays."""
+        self._system = None
 
     def _default_epoch(self, system) -> float:
         """Default review cadence: the channel-0 mechanism's epoch (the

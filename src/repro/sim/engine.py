@@ -45,6 +45,10 @@ class EventQueue:
             return heapq.heappop(heap)[2]
         return None
 
+    def clear(self) -> None:
+        """Drop every pending event."""
+        self._heap.clear()
+
     @property
     def empty(self) -> bool:
         return not self._heap

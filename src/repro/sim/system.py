@@ -10,6 +10,13 @@ longer matches the event's time, so the loop never executes an entity
 twice for the same logical event.  Wake-up events reuse one bound
 callable per entity instead of allocating a fresh closure per event —
 several hundred thousand allocations per simulation on the hot path.
+
+A System runs once.  The edges that point back at it — the
+controllers' completion hook, the per-entity wake callables, events
+still queued and the governor's binding — exist only while
+:meth:`System.run` executes and are released when it returns, so a
+finished simulation is freed by reference counting alone instead of
+waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -101,8 +108,6 @@ class System:
             rng=self.rng,
         )
         self.controllers = self.memsys.controllers
-        for controller in self.controllers:
-            controller.on_request_complete = self._on_request_complete
         # Single-channel aliases (the common configuration, and what the
         # pre-sharding tests and examples address).
         self.controller = self.controllers[0]
@@ -128,13 +133,11 @@ class System:
         num_channels = self.memsys.num_channels
         self._ctrl_scheduled: list[float | None] = [None] * num_channels
         self._core_scheduled: list[float | None] = [None] * len(self.cores)
-        # One reusable wake callable per entity (no per-event closures).
-        self._ctrl_fires = [
-            partial(self._fire_ctrl, channel) for channel in range(num_channels)
-        ]
-        self._core_fires = [
-            partial(self._fire_core, index) for index in range(len(self.cores))
-        ]
+        # One reusable wake callable per entity (no per-event closures),
+        # built by ``run`` and released when it returns.
+        self._ctrl_fires: list = []
+        self._core_fires: list = []
+        self._spent = False
         self._now = 0.0
         self.events_processed = 0
         # Controller batching plumbing: a bound peek so each batch
@@ -154,8 +157,6 @@ class System:
         # reset re-marks them finished.
         self.governor = governor
         self._descheduled = [False] * len(self.cores)
-        if governor is not None:
-            governor.attach(self)
         # Observability (repro.obs): wired only when a live bus is
         # passed; otherwise every component's probe attribute keeps its
         # class-level None and no sampling events exist.
@@ -309,6 +310,33 @@ class System:
             self._note_finished(index)
 
     # ------------------------------------------------------------------
+    # Run wiring: every edge from a component back to this System.
+    # ------------------------------------------------------------------
+    def _wire_run(self) -> None:
+        for controller in self.controllers:
+            controller.on_request_complete = self._on_request_complete
+        self._ctrl_fires = [
+            partial(self._fire_ctrl, channel)
+            for channel in range(self.memsys.num_channels)
+        ]
+        self._core_fires = [
+            partial(self._fire_core, index) for index in range(len(self.cores))
+        ]
+        if self.governor is not None:
+            self.governor.attach(self)
+
+    def _release_run(self) -> None:
+        """Drop every back-edge :meth:`_wire_run` made, plus the events
+        still queued (their callbacks are bound to this System)."""
+        for controller in self.controllers:
+            controller.on_request_complete = None
+        self._ctrl_fires = []
+        self._core_fires = []
+        self._events.clear()
+        if self.governor is not None:
+            self.governor.detach()
+
+    # ------------------------------------------------------------------
     # Main loop.
     # ------------------------------------------------------------------
     def run(
@@ -331,7 +359,28 @@ class System:
         and energy counters are then reset while *mechanism state* —
         blacklists, RHLI counters, reactive-refresh tables — carries
         over, so measurements reflect steady-state behaviour.
+
+        A System runs once: a second call raises :class:`RuntimeError`.
+        The finished System keeps its components and statistics but no
+        longer references itself through them.
         """
+        if self._spent:
+            raise RuntimeError(
+                "this System is spent: it already ran once; build a new System"
+            )
+        self._spent = True
+        self._wire_run()
+        try:
+            return self._simulate(instructions_per_thread, max_time_ns, warmup_ns)
+        finally:
+            self._release_run()
+
+    def _simulate(
+        self,
+        instructions_per_thread: int | list[int | None] | None,
+        max_time_ns: float | None,
+        warmup_ns: float,
+    ) -> SimResult:
         if isinstance(instructions_per_thread, list):
             targets = instructions_per_thread
         else:

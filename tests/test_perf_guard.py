@@ -69,3 +69,14 @@ def test_count_record_covers_exactly_the_declared_count_metrics():
     for workload, metrics in record.items():
         assert set(metrics) == counts, workload
         assert all(isinstance(value, int) for value in metrics.values())
+
+
+@pytest.mark.parametrize("ratio, fails", [(1.16, True), (1.14, False), (0.7, False)])
+def test_rss_ab_uses_the_declared_bound(ratio, fails):
+    bound = perf_guard.declared_bound("peak_rss_mb")
+    assert bound == 0.15
+    parent = [80.0, 90.0, 85.0]
+    change = [85.0 * ratio, 200.0, 1.0]
+    failures = perf_guard.ab_failures(parent, change, "peak_rss_mb", bound)
+    assert bool(failures) is fails
+    assert all("peak_rss_mb" in failure for failure in failures)
