@@ -89,10 +89,6 @@ class DramDevice:
         self._open_banks = [0] * spec.ranks
         self._last_change = [0.0] * spec.ranks
         self.active_time = [0.0] * spec.ranks
-        # One-tuple bundle of the stable objects/scalars the FR-FCFS
-        # incremental select binds every call (bus_free stays out: it
-        # moves on every column command and must be read live).
-        self.select_hot = (self.flat_banks, self.ranks[0], spec.tCL, spec.tCWL)
 
     # ------------------------------------------------------------------
     # Accessors.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from repro.utils.aggregate import merge_fields
 
@@ -106,9 +107,8 @@ class MemoryController:
 
     #: Trace probe (``mem`` category), bound by the System when a
     #: telemetry bus is attached.  Emission sites live only on rare
-    #: branches (quota rejections, REF/VREF issue, selects outside the
-    #: fused fast path), never on the fused path, so the disabled path
-    #: costs nothing.
+    #: branches (quota rejections, REF/VREF issue, selects during
+    #: refresh-drain windows), so the disabled path costs nothing.
     probe = None
 
     def __init__(
@@ -169,22 +169,20 @@ class MemoryController:
         self.vref_count = 0
         self.commands_issued = 0
         self.total_enqueued = 0
-        # Fused per-queue select closures (policies that support them):
-        # the batched hot loop calls these when no rank is refresh-
-        # draining, skipping the per-call rebinding of every stable
-        # object the incremental scheduler touches.
+        # One bound selector per queue, ``select(now, blocked_ranks) ->
+        # (command, request, next_ready)``: the policy's fused closure
+        # (every stable object prebound) where it has one, else its
+        # ``select_raw`` with the queue, device and mitigation bound.
         make_fused = getattr(self.policy, "make_fused", None)
-        self._fused_read = self._fused_write = None
-        if make_fused is not None:
-            self._fused_read = make_fused(self.read_queue, self.device, self.mitigation)
-            self._fused_write = make_fused(self.write_queue, self.device, self.mitigation)
+        if make_fused is None:
+            make_fused = partial(partial, self.policy.select_raw)
+        self._select_read = make_fused(self.read_queue, self.device, self.mitigation)
+        self._select_write = make_fused(self.write_queue, self.device, self.mitigation)
         # Bound invalidation endpoints for the per-command hot path
         # (_issue_for_request): equivalent to _invalidate_bank, minus
         # two method frames per issued command.
         self._rq_cache_pop = self.read_queue.bank_cache.pop
-        self._rq_dirty_add = self.read_queue.dirty.add
         self._wq_cache_pop = self.write_queue.bank_cache.pop
-        self._wq_dirty_add = self.write_queue.dirty.add
 
     # ------------------------------------------------------------------
     # Request injection (called by cores / the System).
@@ -343,11 +341,9 @@ class MemoryController:
         drain_low = config.write_drain_low
         read_items = self._read_items
         write_items = self._write_items
-        read_queue = self.read_queue
-        write_queue = self.write_queue
-        policy_select = self._policy_select
-        fused_read = self._fused_read
-        fused_write = self._fused_write
+        select_read = self._select_read
+        select_write = self._select_write
+        probe = self.probe
         issue_for = self._issue_for_request
         advance_to = mitigation.advance_to
         pv = mitigation._pending_vrefs
@@ -417,23 +413,22 @@ class MemoryController:
                     draining = True
                 elif writes_pending <= drain_low:
                     draining = False
-                fused = fused_read is not None and not blocked_ranks
+                # Each select inside a refresh-drain window is traced as
+                # ``sched_full_scan`` on this channel's track.
                 if draining or (not read_items and writes_pending >= drain_low):
-                    if fused:
-                        cmd, req, ready = fused_write(t)
-                    else:
-                        cmd, req, ready = policy_select(write_queue, t, blocked_ranks)
+                    if probe is not None and blocked_ranks:
+                        self._trace_drain_select(t, blocked_ranks)
+                    cmd, req, ready = select_write(t, blocked_ranks)
                     if cmd is None:
-                        if fused:
-                            cmd, req, ready2 = fused_read(t)
-                        else:
-                            cmd, req, ready2 = policy_select(read_queue, t, blocked_ranks)
+                        if probe is not None and blocked_ranks:
+                            self._trace_drain_select(t, blocked_ranks)
+                        cmd, req, ready2 = select_read(t, blocked_ranks)
                         if ready2 < ready:
                             ready = ready2
-                elif fused:
-                    cmd, req, ready = fused_read(t)
                 else:
-                    cmd, req, ready = policy_select(read_queue, t, blocked_ranks)
+                    if probe is not None and blocked_ranks:
+                        self._trace_drain_select(t, blocked_ranks)
+                    cmd, req, ready = select_read(t, blocked_ranks)
                 if cmd is not None:
                     issue_for(cmd, req, t)
                     issued = True
@@ -552,17 +547,12 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Normal request handling.
     # ------------------------------------------------------------------
-    def _policy_select(
-        self, queue: RequestQueue, now: float, blocked_ranks: frozenset[int]
-    ) -> tuple[Command | None, Request | None, float]:
-        """A select off the fused path (refresh-draining windows,
-        multi-rank devices, policies without a fused closure), traced
-        as ``sched_full_scan`` on this channel's track."""
-        if self.probe is not None:
-            self.probe(
-                now, "sched_full_scan", self.channel_id, blocked_ranks=len(blocked_ranks)
-            )
-        return self.policy.select_raw(queue, self.device, self.mitigation, now, blocked_ranks)
+    def _trace_drain_select(self, now: float, blocked_ranks: frozenset[int]) -> None:
+        """Emit ``sched_full_scan`` for one select made while some rank
+        is refresh-draining."""
+        self.probe(
+            now, "sched_full_scan", self.channel_id, blocked_ranks=len(blocked_ranks)
+        )
 
     def _issue_for_request(self, cmd: Command, request: Request, now: float) -> None:
         """Commit a policy-selected command and update request state."""
@@ -583,9 +573,7 @@ class MemoryController:
         # targets the request's own bank here.
         key = request.bank_key
         self._rq_cache_pop(key, None)
-        self._rq_dirty_add(key)
         self._wq_cache_pop(key, None)
-        self._wq_dirty_add(key)
 
     def _complete_request(self, request: Request, cmd: Command, now: float) -> None:
         """Retire a request whose column command just issued."""

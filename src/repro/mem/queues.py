@@ -2,30 +2,32 @@
 
 The queue maintains two views of its contents: a flat arrival-ordered
 list (``items``) and a per-bank index (``by_bank``) keyed by
-``Request.bank_key``.  FR-FCFS consumes the per-bank view so one
-scheduling step no longer scans the full queue twice; arrival-order
-tie-breaking is preserved through ``Request.queue_seq``, assigned
-monotonically on insertion.
+``Request.bank_key``.  FR-FCFS walks the per-bank view — one entry per
+bank with queued requests, at most ranks x banks — instead of the
+request list; arrival-order tie-breaking is preserved through
+``Request.queue_seq``, assigned monotonically on insertion.
 
-On top of the views sits the incremental scheduler's **per-bank
-candidate cache** (``bank_cache``): the FR-FCFS policy stores each
-bank's scheduling decision (best candidate request + command kind +
-verdict-expiry + wake time) here and trusts it until the bank is
-*dirtied*.  Dirty-bank tracking is cooperative:
+Beside the views sits the scheduler's **per-bank decision cache**
+(``bank_cache``): the FR-FCFS policy stores each bank's decision (best
+candidate request + command kind + verdict expiry + bank-local time)
+here and trusts it until the entry is dropped or expires.  Dropping is
+cooperative:
 
-* the queue itself invalidates on ``push`` (a new arrival can become
-  the oldest hit or kill a precharge decision via hit protection) and
-  on ``remove`` (the cached candidate may be the departing request);
-* the memory controller invalidates through :meth:`invalidate_bank` /
+* the queue itself drops the bank's entry on ``push`` (a new arrival
+  can become the oldest hit or kill a precharge decision via hit
+  protection) and on ``remove`` (the cached candidate may be the
+  departing request);
+* the memory controller drops entries through :meth:`invalidate_bank` /
   :meth:`invalidate_rank` whenever a command changes a bank's row-buffer
-  state or its mitigation verdicts (ACT/PRE/VREF, REF for the rank);
+  state or its mitigation verdicts (ACT/PRE/RD/WR/VREF, REF for the
+  rank);
 * time-driven verdict changes (a blocked row's delay expiring, a
   blacklist epoch rotation) need no callback: every cached entry carries
-  its own expiry instant and the scheduler re-examines the bank once
-  ``now`` passes it.
+  its own expiry instant and the scheduler re-walks the bank once
+  ``now`` reaches it.
 
-A bank absent from ``bank_cache`` is dirty; the policy re-walks it on
-the next scheduling step and re-caches the result.
+A bank in ``by_bank`` but absent from ``bank_cache`` is dirty; the
+policy re-walks it on the next select and re-caches the result.
 """
 
 from __future__ import annotations
@@ -39,22 +41,11 @@ class RequestQueue:
     """A FIFO-ordered, capacity-bounded request queue.
 
     Order is arrival order; FR-FCFS ties break toward older requests
-    (smaller ``queue_seq``).
+    (smaller ``queue_seq``).  The scheduler reads ``by_bank`` and owns
+    ``bank_cache``; everything else goes through the methods below.
     """
 
-    __slots__ = (
-        "capacity",
-        "_items",
-        "by_bank",
-        "bank_cache",
-        "wake_heaps",
-        "ready_heaps",
-        "expiry_heap",
-        "heap_seq",
-        "dirty",
-        "hot",
-        "_next_seq",
-    )
+    __slots__ = ("capacity", "_items", "by_bank", "bank_cache", "_next_seq")
 
     def __init__(self, capacity: int = 64) -> None:
         require(capacity >= 1, "queue capacity must be >= 1")
@@ -65,53 +56,10 @@ class RequestQueue:
         #: Scheduler-maintained per-bank decision cache: bank_key ->
         #: entry tuple (see ``repro.mem.scheduler``).  Entries are
         #: dropped here on push/remove and by the controller on
-        #: row-buffer / verdict changes; the scheduler itself drops
-        #: entries whose expiry instant has passed.  Only the scheduler
-        #: may insert entries: it mirrors each store into the lazy heaps
-        #: below, which its steps-with-nothing-ready fast path relies on.
+        #: row-buffer / verdict changes; only the scheduler inserts
+        #: them, and only for banks in ``by_bank``, so its keys are
+        #: always a subset of ``by_bank``'s.
         self.bank_cache: dict[int, tuple] = {}
-        #: Lazy min-heaps over live cache entries' bank-local times, one
-        #: per wake class (hit-column / ACT-gate / PRE-gate).  Items are
-        #: (local_t, heap_seq, bank_key, entry); an item is dead when
-        #: ``bank_cache[bank_key] is not entry``.  Maintained entirely
-        #: by the scheduler — see ``FrFcfsPolicy.select``.
-        self.wake_heaps: tuple[list, list, list] = ([], [], [])
-        #: Per-class lazy min-heaps, keyed by arrival order
-        #: (``queue_seq``), of entries whose *bank-local* time has come
-        #: due — readiness then depends only on the class's shared
-        #: scalar, and the FR-FCFS winner is simply the live top (the
-        #: oldest locally-ready candidate).  A bank-local time never
-        #: un-passes, so items migrate here from ``wake_heaps`` once
-        #: and stay until their entry dies.  Items are
-        #: (queue_seq, bank_key, entry).
-        self.ready_heaps: tuple[list, list, list] = ([], [], [])
-        #: Lazy min-heap of entry expiry instants (same item shape).
-        self.expiry_heap: list = []
-        #: Monotonic tiebreaker for heap items (entry tuples containing
-        #: Requests do not order).
-        self.heap_seq = 0
-        #: Banks needing re-examination: every invalidation records the
-        #: key here so a scheduling step walks the dirtied banks only,
-        #: never the whole queue.  Drained by ``FrFcfsPolicy.select``.
-        self.dirty: set[int] = set()
-        #: One-tuple bundle of every stable scheduler structure above:
-        #: the incremental select unpacks this once per call instead of
-        #: performing ten attribute loads.  All referenced objects are
-        #: mutated in place and never reassigned.
-        hit_heap, act_heap, pre_heap = self.wake_heaps
-        ready_hits, ready_acts, ready_pres = self.ready_heaps
-        self.hot = (
-            self.bank_cache,
-            self.by_bank,
-            self.dirty,
-            self.expiry_heap,
-            hit_heap,
-            act_heap,
-            pre_heap,
-            ready_hits,
-            ready_acts,
-            ready_pres,
-        )
         self._next_seq = 0
 
     @property
@@ -147,7 +95,6 @@ class RequestQueue:
         else:
             bank_list.append(request)
         self.bank_cache.pop(key, None)
-        self.dirty.add(key)
 
     def remove(self, request: Request) -> None:
         """Remove a serviced request."""
@@ -159,7 +106,6 @@ class RequestQueue:
         else:
             bank_list.remove(request)
         self.bank_cache.pop(key, None)
-        self.dirty.add(key)
 
     # ------------------------------------------------------------------
     # Dirty-bank tracking (controller-facing).
@@ -167,7 +113,6 @@ class RequestQueue:
     def invalidate_bank(self, key: int) -> None:
         """Mark one bank dirty: drop its cached scheduling decision."""
         self.bank_cache.pop(key, None)
-        self.dirty.add(key)
 
     def invalidate_rank(self, rank: int) -> None:
         """Mark every bank of ``rank`` dirty (rank-wide commands: REF)."""
@@ -175,11 +120,9 @@ class RequestQueue:
         hi = lo + (1 << BANK_KEY_BITS)
         for key in [k for k in self.bank_cache if lo <= k < hi]:
             del self.bank_cache[key]
-            self.dirty.add(key)
 
     def invalidate_all(self) -> None:
         """Drop every cached bank decision."""
-        self.dirty.update(self.bank_cache)
         self.bank_cache.clear()
 
     def requests_for_bank(self, rank: int, bank: int) -> list[Request]:

@@ -24,32 +24,32 @@ unless a pending hit protects the open row) — is a pure function of the
 bank's queue contents, its row-buffer state + local timing, and the
 mitigation's verdicts.  None of those change on most steps, so the
 decision (with the bank-local timing snapshotted into it) is cached per
-bank on the :class:`~repro.mem.queues.RequestQueue` (``bank_cache``)
-and one step re-examines only *dirty* banks:
+bank on the :class:`~repro.mem.queues.RequestQueue` (``bank_cache``).
+An entry is dropped whenever one of its inputs moves:
 
-* the queue invalidates a bank's entry on push/remove (arrivals and
+* the queue drops a bank's entry on push/remove (arrivals and
   departures change the oldest-hit/decider walk);
-* the controller invalidates on every command addressed to a bank
-  (ACT/PRE/RD/WR/VREF; REF dirties the rank) — commands move both the
+* the controller drops it on every command addressed to the bank
+  (ACT/PRE/RD/WR/VREF; REF drops the rank) — commands move both the
   bank's decision inputs and its snapshotted local timing — see
   ``MemoryController._invalidate_bank``;
 * time-driven verdict changes need no callback: every entry carries an
   expiry instant — the earliest time a *skipped* blocked request could
   unblock and preempt the cached decider, capped by the mechanism's
   verdict-stability horizon (``act_block_stable``, e.g. BlockHammer's
-  next CBF epoch rotation) — and the policy re-walks the bank once
-  ``now`` reaches it (tracked in a lazy expiry heap).
+  next CBF epoch rotation) — and the select re-walks the bank once
+  ``now`` reaches it.
 
-Clean banks are never visited at all.  Entries live in per-class lazy
-min-heaps keyed by their bank-local time (hit column timing / ACT gate
-/ PRE gate); because a per-bank wake is ``max(bank-local time, shared
-scalar)`` and the shared scalar (data-bus occupancy, rank tRRD/tFAW) is
-class-wide, the exact ``next_ready`` falls out of three heap tops.
-Once a bank-local time passes it never un-passes, so entries migrate
-to per-class *ready* heaps ordered by arrival (``queue_seq``), whose
-live top is the FR-FCFS winner.  A scheduling step is therefore
-O(dirtied banks + expired verdicts + heap-top maintenance), not
-O(queued requests) and not even O(banks).
+One select is a single flat pass over the queue's per-bank index —
+at most ranks x banks entries (16 on the canonical device), not the
+queued requests.  A bank without a live entry (dropped or expired) is
+re-walked and re-cached; every other bank contributes its cached
+candidate directly.  A bank's wake is ``max(bank-local time, shared
+scalar)``: data-bus occupancy for hits, the rank's tRRD/tFAW readiness
+for ACTs, nothing for PREs; the pass folds those into the oldest ready
+hit, the oldest ready row command and the exact ``next_ready``.  A
+refresh-draining rank contributes its hits only.  The same body serves
+every rank count and every refresh window.
 
 Selected commands are identical to the naive scan's.  The set and
 timing of ``act_allowed_at`` queries is not: the naive scan re-queries
@@ -66,7 +66,6 @@ not — the differential harness pins exactly that equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from repro.dram.address import BANK_KEY_BITS
 from repro.dram.commands import Command, CommandKind
@@ -248,12 +247,12 @@ def _examine_bank(
 class FrFcfsPolicy(SchedulingPolicy):
     """First-Ready, First-Come-First-Served with mitigation gating.
 
-    Incremental: re-examines only banks whose queue contents, row-buffer
-    state, or mitigation verdicts changed since the last step (see the
-    module docstring for the dirty/expiry protocol).  The fast path is
-    one body, :meth:`make_fused`; refresh-draining windows and
-    multi-rank devices take the every-bank :meth:`_scan_select`, and
-    plain-list inputs (no cache) the reference scan.
+    Incremental: a select re-walks only banks whose cached decision was
+    dropped or has expired (see the module docstring for the protocol)
+    and reads every other bank's decision from the cache.  The one
+    select body is :meth:`make_fused`; it serves every rank count and
+    refresh-draining windows.  Plain-list inputs (no cache) take the
+    reference scan.
     """
 
     name = "fr-fcfs"
@@ -279,79 +278,64 @@ class FrFcfsPolicy(SchedulingPolicy):
         now: float,
         blocked_ranks: frozenset[int],
     ) -> tuple[Command | None, Request | None, float]:
-        """Dispatch one step to the path that applies.  A one-call
+        """One step for callers without a bound selector.  A one-call
         :meth:`make_fused` closure is exact: all incremental state lives
         on the :class:`~repro.mem.queues.RequestQueue`, not the closure.
         """
         if not isinstance(requests, RequestQueue):
             sel = _naive_select(requests, device, mitigation, now, blocked_ranks)
-        elif blocked_ranks or len(device.ranks) != 1:
-            # Refresh-draining windows (and multi-rank devices, whose
-            # per-rank ACT constraint does not factor out of the class
-            # minima) take the every-bank scan.
-            sel = self._scan_select(requests, device, mitigation, now, blocked_ranks)
-        else:
-            return self.make_fused(requests, device, mitigation)(now)
-        return sel.command, sel.request, sel.next_ready
+            return sel.command, sel.request, sel.next_ready
+        return self.make_fused(requests, device, mitigation)(now, blocked_ranks)
 
     def make_fused(self, requests, device, mitigation):
-        """The incremental FR-FCFS step for one fixed (queue, device,
-        mitigation) triple: ``fused(now) -> (command, request,
+        """The FR-FCFS select for one fixed (queue, device, mitigation)
+        triple: ``fused(now, blocked_ranks) -> (command, request,
         next_ready)`` with every stable object prebound as a closure
-        cell, or None when the fast path does not apply (plain-list
-        queue, multi-rank device).  Callers pass no refresh-draining
-        ranks.  Mutable scalars (bus occupancy, heap sequence) are read
-        live each call; verdict stability only when some bank needs
-        re-examination.
+        cell.  Mutable scalars (bus occupancy, rank ACT readiness) are
+        read live each call; verdict stability only when some bank needs
+        re-walking.
 
-        One step touches only (a) banks dirtied since the last step,
-        (b) banks whose verdict horizon passed, and (c) banks that are
-        *ready* — everything else is covered by three exact class
-        minima.  A bank's wake decomposes as max(bank-local time, shared
-        scalar) where the shared scalar (data-bus occupancy for hits,
-        rank tRRD/tFAW for ACTs) is class-wide, so min-over-banks =
-        max(class min-heap top, shared scalar), and a bank is ready iff
-        its local time AND the shared scalar have both come due — the
-        ready set is a heap prefix.  Heap items are lazy: an item is
-        dead when its entry is no longer the bank's cached one; dead
-        tops pop on sight, so a live top is the exact class minimum.
+        One call walks ``requests.by_bank`` once.  A bank is re-walked
+        (:func:`_examine_bank`) only when its ``bank_cache`` entry is
+        absent or ``now`` has reached the entry's expiry; the fresh
+        entry is cached unless it has expired already (mechanisms that
+        declare no verdict stability), in which case the bank stays
+        uncached and is re-walked next call.  Each entry then competes
+        in its class: hits on ``max(column time, bus)``, ACTs on
+        ``max(bank ACT gate, rank readiness)``, PREs on the bank gate;
+        ties break toward the oldest request.
         """
-        if not isinstance(requests, RequestQueue) or len(device.ranks) != 1:
-            return None
-        (
-            cache,
-            by_bank,
-            dirty,
-            expiry_heap,
-            hit_heap,
-            act_heap,
-            pre_heap,
-            ready_hits,
-            ready_acts,
-            ready_pres,
-        ) = requests.hot
+        cache = requests.bank_cache
         cache_get = cache.get
-        cache_pop = cache.pop
-        by_bank_get = by_bank.get
-        flat_banks, rank0, tCL, tCWL = device.select_hot
+        by_bank = requests.by_bank
+        flat_banks = device.flat_banks
+        ranks = device.ranks
+        rank0 = ranks[0]
+        multi_rank = len(ranks) > 1
+        tCL = device.spec.tCL
+        tCWL = device.spec.tCWL
         never_blocks = mitigation.never_blocks
         act_allowed_at = mitigation.act_allowed_at
         examine = _examine_bank
-        heap_push = heappush
-        heap_pop = heappop
+        key_bits = BANK_KEY_BITS
         NEVER = _NEVER
         HIT = _HIT
         IDLE = _IDLE
         ACT = CommandKind.ACT
-        PRE = CommandKind.PRE
         RD = CommandKind.RD
         WR = CommandKind.WR
         make_command = Command
 
-        def fused(now: float):
+        def fused(now: float, blocked_ranks: frozenset[int]):
             bus_free = device._bus_free
             rd_bus_ready = bus_free - tCL
             wr_bus_ready = bus_free - tCWL
+            # Rank ACT readiness (tRRD/tFAW) is fixed within one call.
+            # Unclamped by ``now``: a row decider is ready iff both its
+            # bank gate and this have passed, and an _IDLE entry's local
+            # time already lies past ``now``.
+            act_ready = rank0._act_ready
+            stable = None  # lazy: read only when a bank is re-walked
             next_ready = NEVER
             best_hit = None
             best_hit_seq = -1
@@ -359,250 +343,64 @@ class FrFcfsPolicy(SchedulingPolicy):
             best_row_seq = -1
             best_row_kind = None
             best_row_row = -1
-            rank_t = -1.0  # lazy: rank ACT readiness at most once per step
-
-            # 1. Re-examine dirtied banks; 2. re-examine banks whose
-            # verdict horizon has passed.  Fresh entries go to the cache
-            # and heaps; uncacheable decisions (horizon already passed —
-            # mechanisms declaring no stability) are kept aside for
-            # inline evaluation and the bank stays dirty.
-            uncached = None
-            if dirty or (expiry_heap and expiry_heap[0][0] <= now):
-                stable = NEVER if never_blocks else mitigation.act_block_stable
-                heap_seq = requests.heap_seq
-                redirty = None
-                if dirty:
-                    for key in dirty:
-                        bank_requests = by_bank_get(key)
-                        if bank_requests is None:
-                            cache_pop(key, None)
-                            continue
-                        entry = examine(
-                            bank_requests, flat_banks[key], now,
-                            act_allowed_at, stable, False,
-                        )
-                        if entry[4] > now:
-                            # Store + heap registration, inlined again in
-                            # the expiry drain below: this is the
-                            # innermost hot loop and a per-bank helper
-                            # call is measurable.
-                            cache[key] = entry
-                            heap_seq += 1
-                            item = (entry[6], heap_seq, key, entry)
-                            tag = entry[0]
-                            if tag == HIT:
-                                heap_push(hit_heap, item)
-                            elif entry[2] is ACT:
-                                heap_push(act_heap, item)
-                            else:
-                                heap_push(pre_heap, item)
-                            if entry[4] < NEVER:
-                                heap_push(expiry_heap, (entry[4], heap_seq, key, entry))
-                        else:
-                            cache_pop(key, None)
-                            if uncached is None:
-                                uncached = []
-                                redirty = []
-                            uncached.append(entry)
-                            redirty.append(key)
-                    dirty.clear()
-                    if redirty is not None:
-                        dirty.update(redirty)
-                while expiry_heap:
-                    item = expiry_heap[0]
-                    key = item[2]
-                    if cache_get(key) is not item[3]:
-                        heap_pop(expiry_heap)
-                        continue
-                    if item[0] > now:
-                        break
-                    heap_pop(expiry_heap)
-                    entry = examine(
+            for key in by_bank:
+                entry = cache_get(key)
+                if entry is None or now >= entry[4]:
+                    # Dropped or expired: re-walk the bank.  A refresh-
+                    # draining rank takes no row decision and its
+                    # requests are not queried, but an open bank's hits
+                    # still serve.
+                    if stable is None:
+                        stable = NEVER if never_blocks else mitigation.act_block_stable
+                    fresh = examine(
                         by_bank[key], flat_banks[key], now,
-                        act_allowed_at, stable, False,
+                        act_allowed_at, stable, (key >> key_bits) in blocked_ranks,
                     )
-                    if entry[4] > now:
-                        cache[key] = entry
-                        heap_seq += 1
-                        hitem = (entry[6], heap_seq, key, entry)
-                        tag = entry[0]
-                        if tag == HIT:
-                            heap_push(hit_heap, hitem)
-                        elif entry[2] is ACT:
-                            heap_push(act_heap, hitem)
-                        else:
-                            heap_push(pre_heap, hitem)
-                        if entry[4] < NEVER:
-                            heap_push(expiry_heap, (entry[4], heap_seq, key, entry))
-                    else:
+                    if fresh is not None and fresh[4] > now:
+                        cache[key] = fresh
+                    elif entry is not None:
                         del cache[key]
-                        dirty.add(key)
-                        if uncached is None:
-                            uncached = []
-                        uncached.append(entry)
-                requests.heap_seq = heap_seq
-
-            # 3. Inline evaluation of uncacheable bank decisions (their
-            # banks stay dirty, so every step re-queries — exactly the
-            # naive behaviour such mechanisms get).
-            if uncached is not None:
-                for entry in uncached:
-                    tag = entry[0]
-                    if tag == HIT:
-                        req = entry[1]
-                        t = entry[6]
-                        bus = wr_bus_ready if req.is_write else rd_bus_ready
-                        if bus > t:
-                            t = bus
-                        if t <= now:
-                            seq = req.queue_seq
-                            if best_hit is None or seq < best_hit_seq:
-                                best_hit = req
-                                best_hit_seq = seq
-                        elif t < next_ready:
-                            next_ready = t
+                    if fresh is None:
                         continue
-                    t = entry[6]
-                    if entry[2] is ACT:
-                        if rank_t < 0.0:
-                            rank_t = rank0._act_ready
-                            if rank_t < now:
-                                rank_t = now
-                        if rank_t > t:
-                            t = rank_t
-                    if tag == IDLE:
-                        if t < next_ready:
-                            next_ready = t
-                        continue
-                    if t > now:
-                        if t < next_ready:
-                            next_ready = t
-                        continue
-                    req = entry[1]
-                    seq = req.queue_seq
-                    if best_row is None or seq < best_row_seq:
-                        best_row = req
-                        best_row_seq = seq
-                        best_row_kind = entry[2]
-                        best_row_row = entry[3]
-
-            # 4. Ready candidates and exact wakes from the class heaps.
-            # Heaps only ever hold cached entries, so every minimum
-            # below is exact.  A bank-local time never un-passes, so an
-            # entry migrates from the local-time wake heap to the
-            # class's arrival-ordered ready heap exactly once; the
-            # FR-FCFS winner is then the live ready-heap top (the oldest
-            # locally-ready candidate), and a gated class's wake needs
-            # no per-item scan: with any locally-ready item the shared
-            # scalar is the binding constraint, without one it is
-            # max(shared, oldest local time).
-            # --- hits (shared scalar: data-bus occupancy) ---
-            while hit_heap:
-                item = hit_heap[0]
-                if cache_get(item[2]) is not item[3]:
-                    heap_pop(hit_heap)
+                    entry = fresh
+                elif (
+                    blocked_ranks
+                    and entry[0] != HIT
+                    and (key >> key_bits) in blocked_ranks
+                ):
                     continue
-                if item[0] > now:
-                    break
-                heap_pop(hit_heap)
-                entry = item[3]
-                heap_push(ready_hits, (entry[1].queue_seq, item[2], entry))
-            while ready_hits and cache_get(ready_hits[0][1]) is not ready_hits[0][2]:
-                heap_pop(ready_hits)
-            if ready_hits:
-                req = ready_hits[0][2][1]
-                bus = wr_bus_ready if req.is_write else rd_bus_ready
-                if bus > now:
-                    # Bus not free: no hit is ready anywhere, and some
-                    # bank's column timing has already passed, so the
-                    # bus is the binding constraint.
-                    if bus < next_ready:
-                        next_ready = bus
-                else:
-                    seq = ready_hits[0][0]
-                    if best_hit is None or seq < best_hit_seq:
-                        best_hit = req
-                        best_hit_seq = seq
-            if hit_heap:
-                item = hit_heap[0]  # live: dead tops popped above
-                t = item[0]
-                bus = wr_bus_ready if item[3][1].is_write else rd_bus_ready
-                if bus > t:
-                    t = bus
-                if t < next_ready:
-                    next_ready = t
-
-            # --- ACT deciders (shared scalar: rank tRRD/tFAW) ---
-            while act_heap:
-                item = act_heap[0]
-                if cache_get(item[2]) is not item[3]:
-                    heap_pop(act_heap)
+                tag, req, kind, row, _, _, t = entry
+                if tag == HIT:
+                    bus = wr_bus_ready if req.is_write else rd_bus_ready
+                    if bus > t:
+                        t = bus
+                    if t <= now:
+                        seq = req.queue_seq
+                        if best_hit is None or seq < best_hit_seq:
+                            best_hit = req
+                            best_hit_seq = seq
+                    elif t < next_ready:
+                        next_ready = t
                     continue
-                if item[0] > now:
-                    break
-                heap_pop(act_heap)
-                entry = item[3]
-                # A live _IDLE entry cannot come due (its expiry
-                # precedes its wake), so migrating entries are _ROW
-                # deciders.
-                heap_push(ready_acts, (entry[1].queue_seq, item[2], entry))
-            while ready_acts and cache_get(ready_acts[0][1]) is not ready_acts[0][2]:
-                heap_pop(ready_acts)
-            if ready_acts:
-                if rank_t < 0.0:
-                    rank_t = rank0._act_ready
-                    if rank_t < now:
-                        rank_t = now
-                if rank_t > now:
-                    # Rank ACT budget exhausted: it alone gates the class.
-                    if rank_t < next_ready:
-                        next_ready = rank_t
-                else:
-                    seq = ready_acts[0][0]
-                    entry = ready_acts[0][2]
-                    req = entry[1]
-                    if best_row is None or seq < best_row_seq:
-                        best_row = req
-                        best_row_seq = seq
-                        best_row_kind = ACT
-                        best_row_row = entry[3]
-            if act_heap:
-                t = act_heap[0][0]
-                if rank_t < 0.0:
-                    rank_t = rank0._act_ready
-                    if rank_t < now:
-                        rank_t = now
-                if rank_t > t:
-                    t = rank_t
-                if t < next_ready:
-                    next_ready = t
-
-            # --- PRE deciders (no shared scalar) ---
-            while pre_heap:
-                item = pre_heap[0]
-                if cache_get(item[2]) is not item[3]:
-                    heap_pop(pre_heap)
+                # _ROW/_IDLE: ``t`` is the bank-local gate snapshotted at
+                # walk time; an ACT gate folds in the live rank constraint.
+                if kind is ACT:
+                    ready = ranks[key >> key_bits]._act_ready if multi_rank else act_ready
+                    if ready > t:
+                        t = ready
+                if t > now or tag == IDLE:
+                    # Not ready yet; an all-blocked bank wakes when its
+                    # first request unblocks and its row command could
+                    # issue (Selection contract).
+                    if t < next_ready:
+                        next_ready = t
                     continue
-                if item[0] > now:
-                    break
-                heap_pop(pre_heap)
-                entry = item[3]
-                heap_push(ready_pres, (entry[1].queue_seq, item[2], entry))
-            while ready_pres and cache_get(ready_pres[0][1]) is not ready_pres[0][2]:
-                heap_pop(ready_pres)
-            if ready_pres:
-                seq = ready_pres[0][0]
-                entry = ready_pres[0][2]
-                req = entry[1]
+                seq = req.queue_seq
                 if best_row is None or seq < best_row_seq:
                     best_row = req
                     best_row_seq = seq
-                    best_row_kind = PRE
-                    best_row_row = entry[3]
-            if pre_heap:
-                t = pre_heap[0][0]
-                if t < next_ready:
-                    next_ready = t
+                    best_row_kind = kind
+                    best_row_row = row
 
             # Column commands (row-buffer hits) always outrank row commands.
             if best_hit is not None:
@@ -624,137 +422,11 @@ class FrFcfsPolicy(SchedulingPolicy):
         now: float,
         blocked_ranks: frozenset[int],
     ) -> Selection:
-        """Every-bank scan over the same cache (refresh windows and
-        multi-rank devices).  Produces the identical Selection the
-        fused path would: same entries, same candidate rules, same
-        Selection-contract wakes."""
-        by_bank = requests.by_bank
-        cache = requests.bank_cache
-        cache_get = cache.get
-        spec = device.spec
-        ranks = device.ranks
-        flat_banks = device.flat_banks
-        bus_free = device.bus_free
-        rd_bus_ready = bus_free - spec.tCL
-        wr_bus_ready = bus_free - spec.tCWL
-        stable = _NEVER if mitigation.never_blocks else mitigation.act_block_stable
-        act_allowed_at = mitigation.act_allowed_at
-
-        RD = CommandKind.RD
-        WR = CommandKind.WR
-        ACT = CommandKind.ACT
-        next_ready = _NEVER
-        best_hit: Request | None = None
-        best_hit_seq = -1
-        best_row: Request | None = None
-        best_row_seq = -1
-        best_row_kind = None
-        best_row_row = -1
-        # Rank-level ACT readiness (tRRD/tFAW) is constant within one
-        # scheduling step; compute it at most once per rank.
-        rank_act_ready: dict[int, float] = {}
-
-        any_rank_blocked = bool(blocked_ranks)
-        key_bits = BANK_KEY_BITS
-        for key, bank_requests in by_bank.items():
-            rank_blocked = any_rank_blocked and (key >> key_bits) in blocked_ranks
-            entry = cache_get(key)
-            if entry is None or now >= entry[4]:
-                # Dirty or expired: re-walk the bank.  Refresh-draining
-                # ranks accept no row commands and their requests are
-                # not queried — but an open bank's hits still serve.
-                fresh = _examine_bank(
-                    bank_requests,
-                    flat_banks[key],
-                    now,
-                    act_allowed_at,
-                    stable,
-                    rank_blocked,
-                )
-                if fresh is None:
-                    # Undecidable while the rank drains; whatever entry
-                    # existed is stale now.
-                    if entry is not None:
-                        del cache[key]
-                        requests.dirty.add(key)
-                    continue
-                entry = fresh
-                tag = entry[0]
-                # Store for this scan's reuse but leave the bank dirty
-                # and push NO heap items: the incremental path re-tracks
-                # dirty banks (one re-examination + push) when it
-                # resumes, and a permanently-scanning configuration
-                # (multi-rank) must not grow the heaps it never drains.
-                requests.dirty.add(key)
-                if entry[4] > now:
-                    cache[key] = entry
-                else:
-                    cache.pop(key, None)
-            else:
-                tag = entry[0]
-                if tag != _HIT and rank_blocked:
-                    continue
-            if tag == _HIT:
-                req = entry[1]
-                t = entry[6]
-                bus = wr_bus_ready if req.is_write else rd_bus_ready
-                if bus > t:
-                    t = bus
-                if t <= now:
-                    # Oldest ready hit across all banks wins (FR-FCFS
-                    # arrival-order tie-break).
-                    seq = req.queue_seq
-                    if best_hit is None or seq < best_hit_seq:
-                        best_hit = req
-                        best_hit_seq = seq
-                elif t < next_ready:
-                    next_ready = t
-                continue
-            # _ROW/_IDLE: bank-local gate snapshotted at examination
-            # time; ACT gates fold in the live rank constraint (the
-            # Selection contract's wakes depend on it even when bank
-            # timing is the later of the two).
-            t = entry[6]
-            kind = entry[2]
-            if kind is ACT:
-                rank_id = key >> key_bits
-                rank_t = rank_act_ready.get(rank_id)
-                if rank_t is None:
-                    rank_t = ranks[rank_id].earliest_act(now)
-                    rank_act_ready[rank_id] = rank_t
-                if rank_t > t:
-                    t = rank_t
-            if tag == _IDLE:
-                # All blocked: wake when the first request unblocks AND
-                # its row command could issue (Selection contract).
-                if t < next_ready:
-                    next_ready = t
-                continue
-            if t > now:
-                if t < next_ready:
-                    next_ready = t
-                continue
-            req = entry[1]
-            seq = req.queue_seq
-            if best_row is None or seq < best_row_seq:
-                best_row = req
-                best_row_seq = seq
-                best_row_kind = kind
-                best_row_row = entry[3]
-
-        # Column commands (row-buffer hits) always outrank row commands.
-        if best_hit is not None:
-            req = best_hit
-            kind = WR if req.is_write else RD
-            return Selection(
-                Command(kind, req.rank, req.bank, req.row, req.col), req, now
-            )
-        if best_row is not None:
-            req = best_row
-            return Selection(
-                Command(best_row_kind, req.rank, req.bank, best_row_row), req, now
-            )
-        return Selection(None, None, next_ready)
+        """Retired: :meth:`make_fused` serves refresh windows and
+        multi-rank devices too, so nothing calls this.  It stays defined
+        because ``perfbench/tracing.py`` patches it by name (its
+        ``mem.scan_select_calls`` count reads 0 by design)."""
+        return self.select(requests, device, mitigation, now, blocked_ranks)
 
 
 def _naive_select(

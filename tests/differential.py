@@ -34,8 +34,12 @@ command stream mid-run and must do so identically under both scheduler
 policies.  ``reactive`` rotates the
 victim-refresh mechanisms MRLoc, CBT, and TWiCe (seed % 3) against an
 attack mix, covering every registered mechanism in the time-advance
-contract.  Seeds vary both the application selection and every RNG
-stream in the simulation.
+contract.  ``two-rank`` runs a two-rank device (the shipped mix
+generators only ever address rank 0): random accesses spread over both
+ranks plus a double-sided hammer on rank 1, so the select's per-rank
+ACT readiness and its refresh-drain handling (one rank draining while
+the other keeps serving) are compared too.  Seeds vary both the
+application selection and every RNG stream in the simulation.
 """
 
 from __future__ import annotations
@@ -43,12 +47,19 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.harness.runner import HarnessConfig, Runner
+from repro.cpu.trace import ListTrace, TraceRecord
+from repro.dram.spec import DDR4_2400
+from repro.harness.runner import ATTACKER_CORE_PARAMS, HarnessConfig, Runner
 from repro.mem.scheduler import FrFcfsPolicy, ReferenceFrFcfsPolicy, SchedulingPolicy
 from repro.os.spec import GovernorSpec
+from repro.utils.rng import DeterministicRng
+from repro.workloads.attacks import AttackTrace
 from repro.workloads.mixes import WorkloadMix, attack_mixes, benign_mixes
 
-SCENARIOS = ("benign", "attack", "mixed", "governed", "reactive")
+SCENARIOS = ("benign", "attack", "mixed", "governed", "reactive", "two-rank")
+
+#: The ``two-rank`` scenario's device: DDR4-2400 with a second rank.
+TWO_RANK_SPEC = dataclasses.replace(DDR4_2400, ranks=2)
 
 #: Mechanism exercised per scenario, rotated by seed so the sweep covers
 #: proactive throttling (blockhammer — the mechanism whose verdicts the
@@ -68,6 +79,7 @@ _MECHANISMS = {
     "mixed": ("graphene", "para"),
     "governed": ("blockhammer-observe", "blockhammer"),
     "reactive": ("mrloc", "cbt", "twice"),
+    "two-rank": ("blockhammer", "naive-throttle"),
 }
 
 #: System-level governor per scenario (None = ungoverned), rotated by
@@ -97,6 +109,7 @@ _SCENARIO_KWARGS = {
     # the short differential runs (that is the path batching must not
     # reorder); at scale 1024 all three rotation members do.
     "reactive": {"scale": 1024.0},
+    "two-rank": {"scale": 512.0, "base_spec": TWO_RANK_SPEC, "warmup_ns": 20_000.0},
 }
 
 
@@ -113,6 +126,23 @@ def scenario_mix(scenario: str, seed: int) -> WorkloadMix:
     if scenario == "reactive":
         return attack_mixes(1, threads=2, master_seed=9000 + seed)[0]
     raise ValueError(f"unknown scenario {scenario!r}")
+
+
+def two_rank_traces(spec, mapping, seed: int) -> list:
+    """The ``two-rank`` workload: a benign thread of random accesses
+    over the whole address space (so over both ranks) and an attacker
+    hammering rows 63/65 of banks 0-1 on rank 1."""
+    rng = DeterministicRng(3000 + seed)
+    benign = ListTrace(
+        TraceRecord(
+            gap=rng.randint(5, 40),
+            address=rng.randint(0, spec.capacity_bytes - 64),
+            is_write=rng.uniform() < 0.2,
+        )
+        for _ in range(1000)
+    )
+    attacker = AttackTrace(spec, mapping, {0: [63, 65], 1: [63, 65]}, rank=1)
+    return [benign, attacker]
 
 
 def scenario_mechanism(scenario: str, seed: int) -> str:
@@ -151,21 +181,32 @@ def run_policy(
     instructions: int = 2500,
     warmup_ns: float = 2000.0,
     scale: float = 128.0,
+    base_spec=DDR4_2400,
 ) -> DifferentialRun:
     """Simulate (scenario, seed, channels) under ``policy``."""
     hcfg = HarnessConfig(
         scale=scale,
+        base_spec=base_spec,
         instructions_per_thread=instructions,
         warmup_ns=warmup_ns,
         num_channels=channels,
         seed=1 + seed,
     )
     runner = Runner(hcfg, policy=policy, capture_commands=True)
-    outcome = runner.run_mix(
-        scenario_mix(scenario, seed),
-        scenario_mechanism(scenario, seed),
-        governor=scenario_governor(scenario, seed),
-    )
+    mechanism = scenario_mechanism(scenario, seed)
+    if scenario == "two-rank":
+        outcome = runner.run_traces(
+            two_rank_traces(hcfg.spec(), hcfg.mapping(), seed),
+            mechanism,
+            [instructions, None],
+            core_params_per_thread=[None, ATTACKER_CORE_PARAMS],
+        )
+    else:
+        outcome = runner.run_mix(
+            scenario_mix(scenario, seed),
+            mechanism,
+            governor=scenario_governor(scenario, seed),
+        )
     result = dataclasses.asdict(outcome.result)
     result.pop("events_processed")
     return DifferentialRun(

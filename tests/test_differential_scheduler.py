@@ -19,13 +19,17 @@ system-level OS governor above the memory system (migrate above
 observe-only BlockHammer on even seeds, quota+kill above BlockHammer
 on odd seeds): governor actions reshape the command stream mid-run
 (deschedules, quota rescaling, channel re-pins) and must preserve
-fast == reference bit-identity, action log included.
+fast == reference bit-identity, action log included.  The ``two-rank``
+scenario runs a two-rank device with traffic on both ranks, so the one
+select is compared across ranks and through refresh-drain windows.
 
 The ``perf_smoke``-marked smoke is the seconds-fast subset wired into
 ``scripts/perf_smoke.sh`` (tier-1).
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -100,6 +104,32 @@ def test_governed_scenario_actually_acts():
     assert actions["quota_updates"] > 0, "quota governor never fired"
     assert actions["kills"], "system-level kill never fired"
     assert fast.governor_actions == ref.governor_actions
+
+
+def test_two_rank_scenario_spans_ranks_and_refresh_drains(monkeypatch):
+    """The two-rank scenario is real coverage only if both ranks take
+    ACTs and the fast select runs while a rank drains for refresh."""
+    drain_selects = []
+    make_fused = FrFcfsPolicy.make_fused
+
+    def counting_make_fused(policy, *args):
+        fused = make_fused(policy, *args)
+
+        def select(now, blocked_ranks):
+            if blocked_ranks:
+                drain_selects.append(now)
+            return fused(now, blocked_ranks)
+
+        return select
+
+    monkeypatch.setattr(FrFcfsPolicy, "make_fused", counting_make_fused)
+    fast, ref = run_pair("two-rank", 0, 1)
+    assert_equivalent(fast, ref)
+    acts = Counter(cmd[2] for cmds in fast.commands for cmd in cmds if cmd[1] == "ACT")
+    assert acts[0] > 0 and acts[1] > 0
+    refs = {cmd[2] for cmds in fast.commands for cmd in cmds if cmd[1] == "REF"}
+    assert refs == {0, 1}
+    assert drain_selects, "no select ran during a refresh drain"
 
 
 @pytest.mark.perf_smoke

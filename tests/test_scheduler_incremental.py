@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dram.address import bank_key
+from repro.dram.address import BANK_KEY_BITS, bank_key
 from repro.dram.commands import Command, CommandKind
 from repro.dram.device import DramDevice
 from repro.mem.controller import MemoryController
@@ -298,10 +298,13 @@ def test_random_workout_never_leaves_a_stale_live_entry(small_spec, device):
     assert checked > 200  # the workout genuinely exercised live entries
 
 
-def test_multi_rank_scan_mode_does_not_grow_heaps(small_spec):
-    """Multi-rank devices route to the every-bank scan permanently; the
-    scan must not push wake/expiry heap items it will never drain."""
+def test_multi_rank_cache_only_holds_queued_banks(small_spec):
+    """On a two-rank device the one select caches decisions for both
+    ranks; after every step each queue's cache covers only banks that
+    still have queued requests (a departed bank's entry never lingers)."""
     from dataclasses import replace
+
+    from repro.dram.address import DecodedAddress
 
     spec2 = replace(small_spec, ranks=2)
     device2 = DramDevice(spec2)
@@ -310,27 +313,19 @@ def test_multi_rank_scan_mode_does_not_grow_heaps(small_spec):
     controller = MemoryController(spec2, device2, mitigation=mech)
     rng = DeterministicRng(7).fork("multirank")
     now = 0.0
+    cached_ranks = set()
     for _ in range(300):
         now += rng.uniform() * 5.0
         if rng.uniform() < 0.7:
-            from repro.dram.address import DecodedAddress
-
-            request = Request(
+            address = DecodedAddress(
+                rng.randint(0, 1),
+                rng.randint(0, spec2.banks_per_rank - 1),
+                rng.randint(0, 7),
                 0,
-                RequestKind.READ,
-                DecodedAddress(
-                    rng.randint(0, 1),
-                    rng.randint(0, spec2.banks_per_rank - 1),
-                    rng.randint(0, 7),
-                    0,
-                ),
-                arrival=now,
             )
-            controller.enqueue(request, now)
+            controller.enqueue(Request(0, RequestKind.READ, address, arrival=now), now)
         controller.step(now)
-    for queue in (controller.read_queue, controller.write_queue):
-        assert all(len(heap) == 0 for heap in queue.wake_heaps)
-        assert len(queue.expiry_heap) == 0
-        # Scan-touched banks stay dirty (bounded by the bank count) so
-        # a single-rank resume would re-track them.
-        assert len(queue.dirty) <= spec2.ranks * spec2.banks_per_rank
+        for queue in (controller.read_queue, controller.write_queue):
+            assert set(queue.bank_cache) <= set(queue.by_bank)
+            cached_ranks.update(key >> BANK_KEY_BITS for key in queue.bank_cache)
+    assert cached_ranks == {0, 1}

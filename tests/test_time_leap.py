@@ -28,12 +28,14 @@ import pytest
 from bisect import bisect_left
 
 from repro.cpu.trace import ListTrace, TraceRecord
+from repro.dram.spec import DDR4_2400
 from repro.harness.runner import HarnessConfig, Runner
 from repro.mitigations.base import MitigationMechanism
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.workloads.mixes import attack_mixes
 
+from differential import TWO_RANK_SPEC, two_rank_traces
 from test_system import make_records
 
 
@@ -268,42 +270,59 @@ def test_short_mitigation_horizon_matches_oracle(small_spec):
 # ----------------------------------------------------------------------
 # Property test: batched == tick-by-tick across mechanism styles.
 # ----------------------------------------------------------------------
-def run_harness(single_step: bool, mechanism: str, seed: int, channels: int):
+def run_harness(
+    single_step: bool, mechanism: str, seed: int, channels: int, ranks: int = 1
+):
     """One harness-level run (full Runner pipeline: workload generation,
-    mechanism construction, energy model) with the batching mode forced."""
+    mechanism construction, energy model) with the batching mode forced.
+    Two ranks run the differential harness's two-rank workload (the mix
+    generators only address rank 0)."""
     hcfg = HarnessConfig(
         scale=1024.0,
+        base_spec=TWO_RANK_SPEC if ranks == 2 else DDR4_2400,
         instructions_per_thread=2000,
-        warmup_ns=2_000.0,
+        # Two ranks warm up past a REF on each, so refresh drains on one
+        # rank overlap traffic on the other.
+        warmup_ns=20_000.0 if ranks == 2 else 2_000.0,
         num_channels=channels,
         seed=1 + seed,
     )
     runner = Runner(hcfg, capture_commands=True)
-    mix = attack_mixes(1, threads=2, master_seed=4000 + seed)[0]
     old = System.single_step
     System.single_step = single_step
     try:
-        outcome = runner.run_mix(mix, mechanism)
+        if ranks == 2:
+            traces = two_rank_traces(hcfg.spec(), hcfg.mapping(), seed)
+            outcome = runner.run_traces(traces, mechanism, [2000, None])
+        else:
+            mix = attack_mixes(1, threads=2, master_seed=4000 + seed)[0]
+            outcome = runner.run_mix(mix, mechanism)
     finally:
         System.single_step = old
     return outcome.command_logs, dataclasses.asdict(outcome.result)
 
 
-@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize(
+    "channels, ranks", [(1, 1), (2, 1), (1, 2)], ids=["1", "2", "two-rank"]
+)
 @pytest.mark.parametrize(
     "mechanism", ["none", "blockhammer", "para", "twice", "graphene"]
 )
-def test_batched_equals_tick_by_tick_oracle(mechanism, channels):
+def test_batched_equals_tick_by_tick_oracle(mechanism, channels, ranks):
     """The property at the heart of the refactor: for every time-advance
     style — no-op, proactive throttling with cached verdicts (the fused
     scheduler path), probabilistic reactive refresh, and table-driven
     reactive refresh — a batched run is indistinguishable from the
     legacy tick-by-tick cadence: same commands on every channel, same
     result rows, and the same processed-event count (each batched step
-    is accounted exactly like the per-step wake it replaces)."""
-    batched_logs, batched_result = run_harness(False, mechanism, 0, channels)
-    oracle_logs, oracle_result = run_harness(True, mechanism, 0, channels)
+    is accounted exactly like the per-step wake it replaces).  The
+    two-rank case drives ACTs and REFs into both ranks."""
+    batched_logs, batched_result = run_harness(False, mechanism, 0, channels, ranks)
+    oracle_logs, oracle_result = run_harness(True, mechanism, 0, channels, ranks)
     assert len(batched_logs) == channels
     assert all(len(log) > 50 for log in batched_logs)
+    for kind in ("ACT", "REF") if ranks == 2 else ("ACT",):
+        kind_ranks = {cmd[2] for log in batched_logs for cmd in log if cmd[1] == kind}
+        assert kind_ranks == set(range(ranks)), kind
     assert batched_logs == oracle_logs
     assert batched_result == oracle_result
