@@ -14,14 +14,12 @@ the System calls :meth:`on_complete` when a read returns.
 ``wake``/``_fetch_next`` are the second-hottest path in the simulator
 after the FR-FCFS scheduler (~15% of a baseline run): per-wake work is
 kept to plain locals, the per-instruction time step and the trace/
-mapping entry points are bound once instead of re-resolved per record,
-and line-address decoding hits the mapping's per-address memo (a
-looping trace decodes the same addresses millions of times).
+mapping entry points are bound once instead of re-resolved per record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.cpu.cache import SetAssocCache
 from repro.cpu.trace import Trace
@@ -79,7 +77,7 @@ class Core:
         self.finish_time: float | None = None
         self.measure_start = 0.0
         self._exec_head = 0.0  # virtual execution clock
-        self._outstanding_reads: set[int] = set()
+        self._outstanding_reads: set[Request] = set()
         self._pending: Request | None = None  # injection-blocked request
         self._pending_writeback: Request | None = None
         self._retry_delay = self.params.retry_delay_ns
@@ -95,7 +93,7 @@ class Core:
         self._mlp_limit = self.params.max_outstanding
         # Hot-path bindings, resolved once per core instead of per wake:
         # the per-instruction time step (a property computing a division)
-        # and the mapping's memoized decoder.
+        # and the mapping's decoder.
         self._ns_per_instr = self.params.ns_per_instruction
         self._decode = mapping.decode
 
@@ -183,11 +181,11 @@ class Core:
             elif request is self._pending_writeback:
                 self._pending_writeback = None
             if not request.is_write:
-                outstanding.add(request.request_id)
+                outstanding.add(request)
 
     def on_complete(self, request: Request, now: float) -> None:
         """A read this core issued has returned its data."""
-        self._outstanding_reads.discard(request.request_id)
+        self._outstanding_reads.discard(request)
         self._maybe_finish(now)
 
     # ------------------------------------------------------------------
@@ -217,21 +215,14 @@ class Core:
         Rebinds the decoder so every address decodes onto the
         quarantine channel; bank/row coordinates are unchanged
         (modeling the OS remapping the thread's pages channel-wise).
-        The shared mapping memo is never mutated — remapped addresses
-        live in a per-core memo.
         """
         if self.repinned_channel == channel:
             return
         self.repinned_channel = channel
         base_decode = self.mapping.decode
-        memo: dict[int, object] = {}
 
-        def decode(address: int, _base=base_decode, _memo=memo, _channel=channel):
-            decoded = _memo.get(address)
-            if decoded is None:
-                decoded = replace(_base(address), channel=_channel)
-                _memo[address] = decoded
-            return decoded
+        def decode(address: int, _base=base_decode, _channel=channel):
+            return _base(address)._replace(channel=_channel)
 
         self._decode = decode
 

@@ -14,13 +14,15 @@ sweeps in ROW_BANK_COL) rotate across channels before rotating across
 banks — channel-level parallelism at run granularity.  With one channel
 the channel digit is the identity (``line % 1 == 0``), so single-channel
 decoding is bit-identical to the channel-free layout.
+
+Decoding is pure stride arithmetic with no memo: a mapping holds only
+its configuration, so each :class:`~repro.sim.system.System` builds its
+own and nothing outlives the run.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from repro.dram.spec import DramSpec
@@ -43,20 +45,13 @@ class MappingScheme(enum.Enum):
 #: owns its own queues and flat bank table.
 BANK_KEY_BITS = 6
 
-#: Decode-memo size bound per mapping (entries).  Mappings outlive any
-#: single simulation (see :func:`shared_mapping`), so the memo is reset
-#: wholesale when it reaches this many distinct addresses — far beyond
-#: any one sweep's working set, but a hard cap on process memory.
-_DECODE_CACHE_LIMIT = 1 << 20
-
 
 def bank_key(rank: int, bank: int) -> int:
     """The flat per-bank key used across the memory subsystem."""
     return (rank << BANK_KEY_BITS) | bank
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class DecodedAddress:
+class DecodedAddress(NamedTuple):
     """DRAM coordinates of one cache-line-sized access.
 
     ``channel`` defaults to 0 so single-channel call sites (and every
@@ -94,10 +89,8 @@ class AddressMapping:
 
         [line offset | column | channel | bank | rank | row]
 
-    Decoding is memoized per byte address: cores replay looping traces,
-    so the same line addresses are decoded millions of times per
-    simulation while the number of *distinct* addresses is bounded by
-    the workload's working set (see ``decode``).
+    A mapping is immutable after construction; ``decode`` recomputes
+    every field from the byte strides on each call.
     """
 
     def __init__(
@@ -130,34 +123,21 @@ class AddressMapping:
         self._high_col_stride = stride
         stride *= self._high_cols
         self._row_stride = stride
-        # Per-instance decode memo (hot path: Core._fetch_next decodes
-        # one address per trace record).  Mappings are long-lived and
-        # memoized per spec, so the memo is shared by every replay of a
-        # working set; it is reset wholesale at _DECODE_CACHE_LIMIT so a
-        # process-lifetime mapping cannot accumulate unbounded state.
-        self._decode_cache: dict[int, DecodedAddress] = {}
 
     # ------------------------------------------------------------------
     def decode(self, address: int) -> DecodedAddress:
-        """Decode a byte address into DRAM coordinates (memoized)."""
-        cached = self._decode_cache.get(address)
-        if cached is not None:
-            return cached
+        """Decode a byte address into DRAM coordinates."""
         require(address >= 0, "address must be non-negative")
         s = self.spec
         high_col = (address // self._high_col_stride) % self._high_cols
         low_col = (address // self._col_stride) % self._low_cols
-        decoded = DecodedAddress(
+        return DecodedAddress(
             (address // self._rank_stride) % s.ranks,
             (address // self._bank_stride) % s.banks_per_rank,
             (address // self._row_stride) % s.rows_per_bank,
             high_col * self._low_cols + low_col,
             (address // self._channel_stride) % s.channels,
         )
-        if len(self._decode_cache) >= _DECODE_CACHE_LIMIT:
-            self._decode_cache.clear()
-        self._decode_cache[address] = decoded
-        return decoded
 
     def _col_offset(self, col: int) -> int:
         high_col, low_col = divmod(col, self._low_cols)
@@ -192,19 +172,3 @@ class AddressMapping:
             ),
             col_offsets=tuple(self._col_offset(col) for col in range(s.columns_per_row)),
         )
-
-
-@lru_cache(maxsize=None)
-def shared_mapping(
-    spec: DramSpec,
-    scheme: MappingScheme = MappingScheme.MOP,
-    mop_run: int = 4,
-) -> AddressMapping:
-    """The process-wide :class:`AddressMapping` for a configuration.
-
-    Mappings are stateless apart from the decode memo; sharing one
-    instance per (spec, scheme, mop_run) lets every simulation of a
-    sweep reuse the memo instead of re-decoding the working set from
-    scratch per run.
-    """
-    return AddressMapping(spec, scheme, mop_run)

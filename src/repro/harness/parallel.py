@@ -232,22 +232,9 @@ class SweepReport:
 # ----------------------------------------------------------------------
 # Job execution (runs inside worker processes for parallel sweeps).
 # ----------------------------------------------------------------------
-#: Per-process Runner cache: a worker executes many jobs against the
-#: same configuration; rebuilding the Runner per job is pure waste.
-_RUNNERS: dict[HarnessConfig, Runner] = {}
-
-
-def _runner_for(hcfg: HarnessConfig) -> Runner:
-    runner = _RUNNERS.get(hcfg)
-    if runner is None:
-        runner = Runner(hcfg)
-        _RUNNERS[hcfg] = runner
-    return runner
-
-
 def execute_job(job: SimJob) -> JobResult:
     """Run one job to completion (callable in any process)."""
-    runner = _runner_for(job.hcfg)
+    runner = Runner(job.hcfg)
     if job.kind == "single":
         outcome = runner.run_single(
             job.app,

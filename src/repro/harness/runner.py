@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from repro.cpu.core import CoreParams
-from repro.dram.address import AddressMapping, MappingScheme, shared_mapping
+from repro.dram.address import AddressMapping
 from repro.dram.rowhammer import DisturbanceProfile
 from repro.dram.spec import DDR4_2400, DramSpec, scaled_threshold
 from repro.energy.drampower import EnergyBreakdown, EnergyModel
@@ -35,27 +34,6 @@ from repro.workloads.profiles import WorkloadProfile, profile_by_name
 #: Attack threads replay a memory-level firehose trace (Section 7), not
 #: a compute-bound core: deep MLP keeps the channel saturated.
 ATTACKER_CORE_PARAMS = CoreParams(max_outstanding=48)
-
-
-@lru_cache(maxsize=None)
-def _scaled_spec(base_spec: DramSpec, scale: float) -> DramSpec:
-    """Scaled spec, memoized: ``HarnessConfig.spec()`` is called per
-    trace build and per alone-IPC computation, and rebuilding the spec
-    each time is pure waste (both inputs are immutable)."""
-    return base_spec.scaled(scale)
-
-
-def _mop_mapping(spec: DramSpec) -> AddressMapping:
-    """The process-wide MOP mapping for a spec — the same instance the
-    System uses, so trace encoding and core decoding share one memo."""
-    return shared_mapping(spec, MappingScheme.MOP)
-
-
-@lru_cache(maxsize=None)
-def _channel_spec(spec: DramSpec, channels: int) -> DramSpec:
-    """``spec`` re-declared with ``channels`` channels, memoized so the
-    mapping/trace caches keyed by spec identity keep hitting."""
-    return spec.with_channels(channels)
 
 
 @dataclass(frozen=True)
@@ -157,9 +135,9 @@ class HarnessConfig:
         )
 
     def spec(self) -> DramSpec:
-        spec = _scaled_spec(self.base_spec, self.scale)
+        spec = self.base_spec.scaled(self.scale)
         if self.channels != spec.channels:
-            spec = _channel_spec(spec, self.channels)
+            spec = spec.with_channels(self.channels)
         return spec
 
     def with_nrh(self, paper_nrh: int) -> "HarnessConfig":
@@ -180,7 +158,7 @@ class HarnessConfig:
         )
 
     def mapping(self) -> AddressMapping:
-        return _mop_mapping(self.spec())
+        return AddressMapping(self.spec())
 
 
 @dataclass

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import enum
-import itertools
 
 from repro.dram.address import BANK_KEY_BITS, DecodedAddress
-
-_request_ids = itertools.count()
 
 
 class RequestKind(enum.Enum):
@@ -57,7 +54,6 @@ class Request:
         "kind",
         "address",
         "arrival",
-        "request_id",
         "service_class",
         "complete_time",
         "queue_seq",
@@ -80,7 +76,6 @@ class Request:
         kind: RequestKind,
         address: DecodedAddress,
         arrival: float,
-        request_id: int | None = None,
         service_class: ServiceClass | None = None,
         complete_time: float | None = None,
         queue_seq: int = 0,
@@ -91,7 +86,6 @@ class Request:
         self.kind = kind
         self.address = address
         self.arrival = arrival
-        self.request_id = next(_request_ids) if request_id is None else request_id
         self.service_class = service_class
         self.complete_time = complete_time
         self.queue_seq = queue_seq

@@ -26,7 +26,7 @@ from functools import partial
 from repro.cpu.cache import SetAssocCache
 from repro.cpu.core import Core
 from repro.cpu.trace import Trace
-from repro.dram.address import shared_mapping
+from repro.dram.address import AddressMapping
 from repro.mem.memsystem import MemorySystem, MitigationFactory
 from repro.mem.request import Request
 from repro.mem.scheduler import FrFcfsPolicy, SchedulingPolicy
@@ -86,7 +86,7 @@ class System:
         self.config = config
         self.rng = DeterministicRng(config.seed)
         spec = config.effective_spec()
-        self.mapping = shared_mapping(spec, config.mapping_scheme, config.mop_run)
+        self.mapping = AddressMapping(spec, config.mapping_scheme, config.mop_run)
 
         if mitigation_factory is None:
             if mitigation is None:

@@ -150,9 +150,3 @@ def test_mop_channel_interleaves_at_run_granularity():
     assert [d.channel for d in decoded] == [0] * 4 + [1] * 4 + [0] * 4 + [1] * 4
     assert [d.bank for d in decoded[:8]] == [0] * 8
     assert [d.bank for d in decoded[8:16]] == [1] * 8
-
-
-def test_decode_is_memoized():
-    mapping = AddressMapping(DDR4_2400, MappingScheme.MOP)
-    first = mapping.decode(4096)
-    assert mapping.decode(4096) is first

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import sys
 
-from repro.dram.address import MappingScheme, shared_mapping
+from repro.dram.address import AddressMapping, MappingScheme
 from repro.harness.runner import HarnessConfig
 from repro.workloads.generator import build_benign_trace
 from repro.workloads.profiles import profile_by_name
@@ -81,7 +81,7 @@ def cases():
             for scheme in SCHEMES:
                 for channels in CHANNELS:
                     spec = HarnessConfig(scale=128.0, num_channels=channels).spec()
-                    mapping = shared_mapping(spec, scheme)
+                    mapping = AddressMapping(spec, scheme)
                     trace = build_benign_trace(
                         profile, spec, mapping, seed=SEED, row_offset=ROW_OFFSET
                     )
