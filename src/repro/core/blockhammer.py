@@ -9,7 +9,7 @@ plugs into the memory controller exactly like every baseline.  Two modes
 * **observe-only** — computes blacklists and RHLI but never interferes,
   which is how the paper measures un-throttled attack RHLI (≈10.9).
 
-BlockHammer needs no adjacency oracle and issues no victim refreshes: it
+BlockHammer needs no row mapping and issues no victim refreshes: it
 is implemented entirely controller-side from publicly-available chip
 parameters, which is what makes it commodity-DRAM compatible (Table 6).
 """

@@ -14,15 +14,23 @@ We model three schemes:
   ``phys = (a * logical + b) mod R`` with odd ``a``; invertible, cheap,
   and destroys logical adjacency, standing in for proprietary remapping.
 
-Reactive-refresh mitigations need ``neighbors()`` of an aggressor: on
-real systems that requires the proprietary mapping.  Our simulator hands
-mechanisms an *adjacency oracle* backed by the true mapping by default
-(modeling vendor knowledge); the row-map ablation benchmark instead hands
-them a wrong (linear) oracle to demonstrate the compatibility challenge.
+Reactive-refresh mitigations need the logical neighbours of an
+aggressor: on real systems that requires the proprietary mapping.  Each
+mechanism is handed the :class:`RowMapping` it *assumes*.  By default
+that is the device's true mapping (modeling vendor knowledge);
+``SystemConfig.assumed_rowmap_kind`` names another kind instead, which
+the row-map ablation uses to hand Graphene a linear mapping on a
+scrambled chip and demonstrate the compatibility challenge.
 BlockHammer never consults a mapping.
+
+:data:`ROWMAP_KINDS` maps each kind name to its constructor; configs
+validate against it when they are built.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Callable
 
 from repro.utils.validation import require
 
@@ -108,7 +116,7 @@ class ScrambledRowMapping(RowMapping):
         super().__init__(rows)
         a = (seed % rows) | 1
         # Ensure gcd(a, rows) == 1 so the affine map is a bijection.
-        while _gcd(a, rows) != 1:
+        while math.gcd(a, rows) != 1:
             a += 2
             if a >= rows:
                 a = 1
@@ -123,7 +131,17 @@ class ScrambledRowMapping(RowMapping):
         return ((physical - self._b) * self._a_inv) % self.rows
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+#: The one table of row-map kinds: kind -> constructor ``(rows, seed)``.
+ROWMAP_KINDS: dict[str, Callable[[int, int], RowMapping]] = {
+    "linear": lambda rows, seed: LinearRowMapping(rows),
+    "mirrored": lambda rows, seed: MirroredRowMapping(rows),
+    "scrambled": lambda rows, seed: ScrambledRowMapping(rows, seed=seed),
+}
+
+
+def check_rowmap_kind(kind: str, field: str = "rowmap_kind") -> None:
+    """Raise ``ConfigError`` naming ``field`` unless ``kind`` is a key
+    of :data:`ROWMAP_KINDS`."""
+    require(
+        kind in ROWMAP_KINDS, f"{field} must be one of {sorted(ROWMAP_KINDS)}: {kind!r}"
+    )

@@ -5,9 +5,9 @@ Every :class:`~repro.harness.parallel.SimJob` is a pure function of its
 source code.  This module stores finished :class:`JobResult`\\ s as JSON
 on disk, content-addressed by ``sha256(source_fingerprint + repr(key))``,
 so re-running an unchanged sweep (``fig4``/``fig5``/``chansweep``/
-``fig6``/``rhli``/``sec84``/``table8``) performs **zero** simulations
-and returns bit-identical rows — floats survive the JSON round-trip
-exactly (``repr`` shortest-round-trip encoding).  Every entry carries
+``fig6``/``rhli``/``sec84``/``table8``/``rowmap_ablation``) performs
+**zero** simulations and returns bit-identical rows — floats survive
+the JSON round-trip exactly (``repr`` shortest-round-trip encoding).  Every entry carries
 the job's full end-of-run record — results, energy, per-channel
 mechanism telemetry and governor actions — so any driver can be served
 by an entry another driver stored: a ``fig5`` sweep on disk serves the

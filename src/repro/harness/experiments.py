@@ -35,6 +35,7 @@ from repro.core.config import BlockHammerConfig
 from repro.harness.parallel import (
     JobResult,
     SimJob,
+    ablation_job,
     failed,
     mix_job,
     mix_key,
@@ -42,7 +43,7 @@ from repro.harness.parallel import (
     single_job,
     single_key,
 )
-from repro.harness.runner import HarnessConfig, Runner
+from repro.harness.runner import HarnessConfig
 from repro.metrics.speedup import MultiprogramMetrics, compute_metrics
 from repro.mitigations.base import max_thread_rhli, sum_counters
 from repro.mitigations.registry import PAPER_MECHANISMS
@@ -53,7 +54,6 @@ from repro.workloads.mixes import (
     WorkloadMix,
     attack_mixes,
     benign_mixes,
-    mix_row_offset,
 )
 from repro.workloads.profiles import TABLE8_PROFILES, Category
 
@@ -871,83 +871,53 @@ def table8_calibration(
 # ----------------------------------------------------------------------
 # Row-mapping ablation (ours): reactive refresh vs scrambled mapping.
 # ----------------------------------------------------------------------
-def rowmap_ablation(hcfg: HarnessConfig, mechanisms: list[str] | None = None) -> list[dict]:
-    """Attack outcomes when the in-DRAM mapping is scrambled but reactive
-    mechanisms assume a linear mapping (the Section 2.3 challenge).
+def rowmap_ablation(
+    hcfg: HarnessConfig, mechanisms: list[str] | None = None, **execution
+) -> list[dict]:
+    """Attack outcomes when the in-DRAM mapping is scrambled, with each
+    reactive mechanism given the true mapping (vendor knowledge) or
+    assuming a linear one (the Section 2.3 challenge).
 
     Under a scrambled mapping the two "double-sided" aggressors land on
     unrelated physical rows, so each hammers its own physical neighbors
-    single-sided and needs twice the activations to flip a bit; the run
-    therefore uses a fixed simulated duration long enough for the
-    unprotected attack to succeed.  A ``none`` row is always included to
-    establish that the attack is effective.
-
-    This driver stays serial: the assumed-linear adjacency oracle is a
-    local closure, which cannot cross a process boundary.
+    single-sided and needs twice the activations to flip a bit; each job
+    (:meth:`~repro.harness.runner.Runner.run_ablation`) therefore runs
+    for a fixed simulated duration long enough for the unprotected attack
+    to succeed.  A ``none`` row is always included to establish that the
+    attack is effective.  One job per (mechanism, assumption): the
+    assumption is ``HarnessConfig.assumed_rowmap_kind``.
     """
-    from dataclasses import replace as dc_replace
-
-    from repro.harness.runner import ATTACKER_CORE_PARAMS
-    from repro.workloads.attacks import double_sided_attack
-    from repro.workloads.generator import build_benign_trace
-    from repro.workloads.profiles import profile_by_name
-
     mechanisms = mechanisms or ["graphene", "para", "blockhammer"]
     # Duration: a single-sided aggressor at the tFAW-bound per-row rate
     # needs NRH_sim activations; triple that for scheduling slack.
-    spec_probe = hcfg.spec()
-    per_row_rate = 4.0 / spec_probe.tFAW / (2 * spec_probe.banks_per_rank)
-    duration_ns = 3.0 * hcfg.sim_nrh / per_row_rate
-    scrambled_cfg = dc_replace(
-        hcfg, rowmap_kind="scrambled", max_time_ns=duration_ns, warmup_ns=0.0
+    spec = hcfg.spec()
+    per_row_rate = 4.0 / spec.tFAW / (2 * spec.banks_per_rank)
+    scrambled = dataclass_replace(
+        hcfg,
+        rowmap_kind="scrambled",
+        max_time_ns=3.0 * hcfg.sim_nrh / per_row_rate,
+        warmup_ns=0.0,
     )
-    runner = Runner(scrambled_cfg)
-    spec = scrambled_cfg.spec()
-    mapping = scrambled_cfg.mapping()
-
-    def build_traces():
-        attack = double_sided_attack(spec, mapping, victim_row=2048)
-        benign = [
-            build_benign_trace(
-                profile_by_name(app), spec, mapping, seed=scrambled_cfg.seed + slot,
-                row_offset=mix_row_offset(spec, slot),
-            )
-            for slot, app in enumerate(["473.astar", "450.soplex", "403.gcc"], start=1)
-        ]
-        return [attack] + benign
-
-    def wrong_linear_adjacency(rank: int, bank: int, row: int, distance: int) -> list[int]:
-        rows = spec.rows_per_bank
-        out = []
-        for k in range(1, distance + 1):
-            if row - k >= 0:
-                out.append(row - k)
-            if row + k < rows:
-                out.append(row + k)
-        return out
-
-    targets = [None, None, None, None]  # fixed-duration run
-    per_thread = [ATTACKER_CORE_PARAMS, None, None, None]
-
+    # (mechanism, adjacency label, assumed row-map kind)
+    cases = [("none", "n/a", None)] + [
+        (mechanism, label, assumed)
+        for mechanism in mechanisms
+        for label, assumed in (("true", None), ("assumed-linear", "linear"))
+    ]
+    jobs = [
+        ablation_job(dataclass_replace(scrambled, assumed_rowmap_kind=assumed), mechanism)
+        for mechanism, _, assumed in cases
+    ]
+    results = run_jobs(jobs, **execution)
     rows = []
-    for mechanism in ["none"] + mechanisms:
-        oracles = [("true", None), ("assumed-linear", wrong_linear_adjacency)]
-        if mechanism == "none":
-            oracles = [("n/a", None)]
-        for oracle_name, oracle in oracles:
-            outcome = runner.run_traces(
-                build_traces(),
-                mechanism,
-                targets=targets,
-                adjacency_override=oracle,
-                core_params_per_thread=per_thread,
-            )
-            rows.append(
-                {
-                    "mechanism": mechanism,
-                    "adjacency": oracle_name,
-                    "bitflips": outcome.bitflips,
-                    "victim_refreshes": outcome.result.victim_refreshes,
-                }
-            )
+    for (mechanism, label, _), job in zip(cases, jobs):
+        entry = None if failed(results[job.key]) else results[job.key]
+        rows.append(
+            {
+                "mechanism": mechanism,
+                "adjacency": label,
+                "bitflips": None if entry is None else entry.bitflips,
+                "victim_refreshes": None if entry is None else entry.result.victim_refreshes,
+            }
+        )
     return rows

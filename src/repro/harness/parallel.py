@@ -2,8 +2,9 @@
 
 Every paper figure this repository reproduces is a sweep of *independent*
 simulations — (app × mechanism), (mix × scenario × mechanism),
-(NRH point × mechanism).  This module turns those sweeps into explicit
-job lists that fan out over a :class:`~concurrent.futures.ProcessPoolExecutor`:
+(NRH point × mechanism), (mechanism × assumed row mapping).  This
+module turns those sweeps into explicit job lists that fan out over a
+:class:`~concurrent.futures.ProcessPoolExecutor`:
 
 * :class:`SimJob` — a picklable, self-contained description of one
   simulation (configuration + workload + mechanism).  Jobs carry a
@@ -48,9 +49,10 @@ tests them):
   :class:`JobFailure` records in the returned mapping (drivers render
   them as ``-`` rows) instead of raising :class:`JobExecutionError`.
 
-Mechanism objects hold closures (the adjacency oracle) and cannot cross
-a process boundary; every job instead returns the same end-of-run
-record of them, taken inside the worker: one
+Mechanism objects are live per-run state (counter tables, filters, the
+context they were attached with), which neither crosses the process
+boundary nor enters the cache; every job instead returns the same
+end-of-run record of them, taken inside the worker: one
 :class:`~repro.mitigations.base.MechanismTelemetry` per channel
 (``JobResult.telemetry``) and the OS governor's action summary
 (``JobResult.governor_actions``).
@@ -101,6 +103,9 @@ class SimJob:
       channel and ``threads`` is the mirrored mix's width (row-stripe
       stride), matching the slot of the mix being normalized.
     * ``"mix"`` — a multiprogrammed :class:`WorkloadMix`.
+    * ``"ablation"`` — the row-map ablation's fixed-duration attack
+      workload (``Runner.run_ablation``); ``hcfg`` carries the chip's
+      and the mechanism's row-map kinds and the run's duration.
 
     ``key`` must be hashable, deterministic, and unique per distinct
     simulation; jobs with equal keys are deduplicated by
@@ -122,7 +127,7 @@ class SimJob:
     governor: GovernorSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("single", "mix"):
+        if self.kind not in ("single", "mix", "ablation"):
             raise ValueError(f"unknown job kind {self.kind!r}")
         known = available_mitigations()
         if self.mechanism not in known:
@@ -133,7 +138,7 @@ class SimJob:
             raise ValueError("single jobs need an app name")
         if self.kind == "mix" and self.mix is None:
             raise ValueError("mix jobs need a WorkloadMix")
-        if self.kind == "single" and self.governor is not None:
+        if self.kind != "mix" and self.governor is not None:
             raise ValueError("governors apply to mix jobs only")
 
 
@@ -243,8 +248,10 @@ def execute_job(job: SimJob) -> JobResult:
             pinned=job.pinned,
             threads=job.threads,
         )
-    else:
+    elif job.kind == "mix":
         outcome = runner.run_mix(job.mix, job.mechanism, governor=job.governor)
+    else:
+        outcome = runner.run_ablation(job.mechanism)
     return JobResult(
         key=job.key,
         mechanism_name=outcome.mechanism_name,
@@ -286,7 +293,8 @@ def _invoke_job(
 def _job_label(job: SimJob) -> str:
     """A short human label for progress lines (full keys embed the whole
     HarnessConfig repr)."""
-    what = job.app if job.kind == "single" else job.mix.name
+    # An ablation job is labelled by the row mapping its mechanism assumes.
+    what = job.app or (job.mix.name if job.mix else job.hcfg.assumed_rowmap_kind or "true")
     return f"{job.kind}:{what}:{job.mechanism}"
 
 
@@ -734,3 +742,9 @@ def mix_job(
         mix=mix,
         governor=governor,
     )
+
+
+def ablation_job(hcfg: HarnessConfig, mechanism: str = "none") -> SimJob:
+    # ``hcfg`` holds both row-map kinds and the run's duration.
+    key = ("ablation", hcfg, mechanism)
+    return SimJob(key=key, hcfg=hcfg, kind="ablation", mechanism=mechanism)

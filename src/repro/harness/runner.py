@@ -18,16 +18,18 @@ from dataclasses import dataclass, replace
 from repro.cpu.core import CoreParams
 from repro.dram.address import AddressMapping
 from repro.dram.rowhammer import DisturbanceProfile
+from repro.dram.rowmap import check_rowmap_kind
 from repro.dram.spec import DDR4_2400, DramSpec, scaled_threshold
 from repro.energy.drampower import EnergyBreakdown, EnergyModel
-from repro.mitigations.base import AdjacencyOracle, MitigationMechanism
+from repro.mitigations.base import MitigationMechanism
 from repro.mitigations.registry import build_mitigation
 from repro.os.governor import Governor
 from repro.os.spec import GovernorSpec, build_governor
 from repro.sim.config import SystemConfig
 from repro.sim.stats import SimResult
 from repro.sim.system import System
-from repro.utils.validation import require
+from repro.utils.validation import ConfigError, require
+from repro.workloads.attacks import double_sided_attack
 from repro.workloads.mixes import DEFAULT_MIX_THREADS, WorkloadMix, mix_row_offset
 from repro.workloads.profiles import WorkloadProfile, profile_by_name
 
@@ -56,6 +58,9 @@ class HarnessConfig:
     num_channels: int | None = None
     instructions_per_thread: int = 120_000
     rowmap_kind: str = "linear"
+    #: The row-map kind mitigations assume (``SystemConfig`` semantics:
+    #: ``None`` = the device's true mapping).
+    assumed_rowmap_kind: str | None = None
     seed: int = 1
     blast_radius: int = 1
     blast_decay: float = 0.5
@@ -78,10 +83,9 @@ class HarnessConfig:
         require(self.warmup_ns >= 0, "warmup_ns must be >= 0")
         require(self.blast_radius >= 1, "blast_radius must be >= 1")
         require(0 < self.blast_decay <= 1, "blast_decay must be in (0, 1]")
-        require(
-            self.rowmap_kind in ("linear", "mirrored", "scrambled"),
-            f"rowmap_kind must be linear, mirrored or scrambled: {self.rowmap_kind!r}",
-        )
+        check_rowmap_kind(self.rowmap_kind)
+        if self.assumed_rowmap_kind is not None:
+            check_rowmap_kind(self.assumed_rowmap_kind, "assumed_rowmap_kind")
         require(
             self.max_time_ns is None or self.max_time_ns > 0,
             "max_time_ns must be None or > 0",
@@ -154,6 +158,7 @@ class HarnessConfig:
             num_channels=self.channels,
             disturbance=self.disturbance(),
             rowmap_kind=self.rowmap_kind,
+            assumed_rowmap_kind=self.assumed_rowmap_kind,
             seed=self.seed,
         )
 
@@ -198,9 +203,9 @@ class Runner:
     the reference policy produce identical command streams.
 
     ``obs`` attaches a :class:`~repro.obs.probe.TelemetryBus` to every
-    system this runner builds (the CLI ``trace`` subcommand's path);
-    mutually exclusive with ``capture_commands``, which claims the
-    device command-log hook for itself.
+    system this runner builds (the CLI ``trace`` subcommand's path).
+    It and ``capture_commands`` both claim the device command-log hook,
+    so asking for both raises :class:`ConfigError`.
     """
 
     def __init__(
@@ -211,6 +216,8 @@ class Runner:
         capture_commands: bool = False,
         obs=None,
     ) -> None:
+        if obs is not None and capture_commands:
+            raise ConfigError("Runner obs and capture_commands are mutually exclusive")
         self.hcfg = hcfg
         self.energy_model = energy_model or EnergyModel()
         self.policy = policy
@@ -222,7 +229,6 @@ class Runner:
         self,
         traces,
         mechanism_name: str,
-        adjacency_override: AdjacencyOracle | None = None,
         core_params_per_thread: list | None = None,
         governor: GovernorSpec | None = None,
         **mechanism_kwargs,
@@ -235,7 +241,6 @@ class Runner:
             # One fresh mechanism per channel: state is never shared.
             mitigation_factory=lambda: build_mitigation(mechanism_name, **kwargs),
             policy=self.policy,
-            adjacency_override=adjacency_override,
             core_params_per_thread=core_params_per_thread,
             # One fresh governor per system: policies carry run state.
             governor=build_governor(governor),
@@ -248,7 +253,6 @@ class Runner:
         traces,
         mechanism_name: str = "none",
         targets: int | list[int | None] | None = None,
-        adjacency_override: AdjacencyOracle | None = None,
         core_params_per_thread: list | None = None,
         governor: GovernorSpec | None = None,
         **mechanism_kwargs,
@@ -258,7 +262,6 @@ class Runner:
         system = self._build_system(
             traces,
             mechanism_name,
-            adjacency_override,
             core_params_per_thread=core_params_per_thread,
             governor=governor,
             **mechanism_kwargs,
@@ -313,7 +316,6 @@ class Runner:
         self,
         mix: WorkloadMix,
         mechanism_name: str = "none",
-        adjacency_override: AdjacencyOracle | None = None,
         governor: GovernorSpec | None = None,
         **mechanism_kwargs,
     ) -> RunOutcome:
@@ -330,23 +332,35 @@ class Runner:
             None if slot in mix.attacker_threads else self.hcfg.instructions_per_thread
             for slot in range(len(traces))
         ]
-        attacker_params = ATTACKER_CORE_PARAMS if mix.attacker_threads else None
-        per_thread = (
-            [
-                attacker_params if slot in mix.attacker_threads else None
-                for slot in range(len(traces))
-            ]
-            if attacker_params
-            else None
-        )
+        per_thread = [
+            ATTACKER_CORE_PARAMS if slot in mix.attacker_threads else None
+            for slot in range(len(traces))
+        ]
         return self.run_traces(
             traces,
             mechanism_name,
             targets,
-            adjacency_override,
             core_params_per_thread=per_thread,
             governor=governor,
             **mechanism_kwargs,
+        )
+
+    def run_ablation(self, mechanism_name: str) -> RunOutcome:
+        """The row-map ablation's fixed-duration workload: a double-sided
+        attack on row 2048 in slot 0, on the attacker core, beside three
+        benign apps in slots 1-3 (8-wide row stripes).  No thread has an
+        instruction target, so ``hcfg.max_time_ns`` ends the run."""
+        hcfg = self.hcfg
+        attack = double_sided_attack(hcfg.spec(), hcfg.mapping(), victim_row=2048)
+        benign = [
+            self._benign_trace(profile_by_name(app), slot)
+            for slot, app in enumerate(["473.astar", "450.soplex", "403.gcc"], start=1)
+        ]
+        return self.run_traces(
+            [attack] + benign,
+            mechanism_name,
+            targets=[None] * (1 + len(benign)),
+            core_params_per_thread=[ATTACKER_CORE_PARAMS] + [None] * len(benign),
         )
 
     # ------------------------------------------------------------------

@@ -29,7 +29,6 @@ from repro.mem.controller import MemoryController, ThreadMemStats
 from repro.mem.request import Request
 from repro.mem.scheduler import SchedulingPolicy
 from repro.mitigations.base import (
-    AdjacencyOracle,
     MechanismTelemetry,
     MitigationContext,
     MitigationMechanism,
@@ -52,7 +51,6 @@ class MemorySystem:
         num_threads: int,
         mitigation_factory: MitigationFactory,
         policy: SchedulingPolicy | None = None,
-        adjacency_override: AdjacencyOracle | None = None,
         rng: DeterministicRng | None = None,
     ) -> None:
         spec = config.effective_spec()
@@ -76,14 +74,9 @@ class MemorySystem:
         for channel in range(num_channels):
             rowmap = config.build_rowmap()
             device = DramDevice(spec, rowmap, config.disturbance)
-
-            def true_adjacency(
-                rank: int, bank: int, row: int, distance: int, _rowmap=rowmap
-            ) -> list[int]:
-                # Rank/bank are accepted for interface generality; the
-                # row mapping is uniform across banks in this model.
-                return _rowmap.logical_neighbors(row, distance)
-
+            # The mechanism assumes the device's own mapping unless the
+            # config names another kind.
+            assumed = config.assumed_rowmap_kind
             mitigation = mitigation_factory()
             context = MitigationContext(
                 spec=spec,
@@ -93,7 +86,7 @@ class MemorySystem:
                 rng=rng.fork(
                     "mitigation" if channel == 0 else f"mitigation-ch{channel}"
                 ),
-                adjacency=adjacency_override or true_adjacency,
+                rowmap=config.build_rowmap(assumed) if assumed else rowmap,
                 nrh=config.disturbance.nrh,
                 blast_radius=config.disturbance.blast_radius,
                 blast_decay=config.disturbance.decay,

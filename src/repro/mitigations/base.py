@@ -12,9 +12,9 @@ mechanism through five hooks:
   ACT actually issues, with the issuing thread.
 * :meth:`~MitigationMechanism.drain_victim_refreshes` — reactive refresh:
   victim rows the controller must refresh (PARA, PRoHIT, MRLoc, CBT,
-  TWiCe, Graphene).  Requires the adjacency oracle, i.e. knowledge of the
-  in-DRAM row mapping (Section 2.3) — which is the compatibility
-  challenge BlockHammer avoids.
+  TWiCe, Graphene).  Requires knowledge of the in-DRAM row mapping
+  (Section 2.3) — which is the compatibility challenge BlockHammer
+  avoids.
 * :meth:`~MitigationMechanism.max_inflight` — source throttling quota per
   <thread, bank> (AttackThrottler, Section 3.2.2).
 * :meth:`~MitigationMechanism.advance_to` — the one time hook: advance
@@ -22,7 +22,8 @@ mechanism through five hooks:
   refreshes) and report when it next changes by time alone.
 
 Mechanisms receive a :class:`MitigationContext` at attach time with the
-DRAM spec, thread count, a deterministic RNG, and the adjacency oracle.
+DRAM spec, thread count, a deterministic RNG, and the row mapping it
+assumes.
 
 Mechanisms additionally expose read-only **OS telemetry**
 (:meth:`MitigationMechanism.os_telemetry`): the per-thread signals an
@@ -40,8 +41,8 @@ aggregate across channels by two rules, :func:`max_thread_rhli` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
+from repro.dram.rowmap import RowMapping
 from repro.dram.spec import DramSpec
 from repro.utils.rng import DeterministicRng
 
@@ -49,9 +50,6 @@ _FOREVER = float("inf")
 
 # (rank, bank, logical_row) to refresh.
 VictimRefresh = tuple[int, int, int]
-
-# adjacency(rank, bank, logical_row, distance) -> logical victim rows.
-AdjacencyOracle = Callable[[int, int, int, int], list[int]]
 
 
 @dataclass
@@ -61,7 +59,10 @@ class MitigationContext:
     spec: DramSpec
     num_threads: int
     rng: DeterministicRng
-    adjacency: AdjacencyOracle
+    #: The in-DRAM row mapping the mechanism assumes when it looks up
+    #: victims (``logical_neighbors``); the device's true mapping unless
+    #: the configuration names another kind (Section 2.3).
+    rowmap: RowMapping
     # Readily-available chip characterization (Section 9, property 2):
     # the RowHammer threshold, blast radius and impact factors come from
     # public characterization studies, not proprietary documentation.

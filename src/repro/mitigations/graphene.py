@@ -94,7 +94,8 @@ class Graphene(MitigationMechanism):
 
     def _refresh_neighbors(self, rank: int, bank: int, row: int, now: float) -> None:
         victims = 0
-        for victim in self.context.adjacency(rank, bank, row, self.context.blast_radius):
+        context = self.context
+        for victim in context.rowmap.logical_neighbors(row, context.blast_radius):
             self.queue_victim_refresh(rank, bank, victim)
             self.refreshes_injected += 1
             victims += 1

@@ -55,10 +55,8 @@ class MrLoc(MitigationMechanism):
             self.probability = min(1.0, para_p / 2.0)
 
     def on_activate(self, rank: int, bank: int, row: int, thread: int, now: float) -> None:
-        neighbors = self.context.adjacency(rank, bank, row, 1)
-        if not neighbors:
-            return
-        victim = self.context.rng.choice(neighbors)
+        # Every row has at least one neighbour (a mapping spans >= 2 rows).
+        victim = self.context.rng.choice(self.context.rowmap.logical_neighbors(row, 1))
         key = (rank, bank, victim)
         p = self.probability
         if key in self._queue:

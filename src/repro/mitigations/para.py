@@ -57,9 +57,7 @@ class Para(MitigationMechanism):
     def on_activate(self, rank: int, bank: int, row: int, thread: int, now: float) -> None:
         if self.context.rng.uniform() >= self.probability:
             return
-        neighbors = self.context.adjacency(rank, bank, row, 1)
-        if not neighbors:
-            return
-        victim = self.context.rng.choice(neighbors)
+        # Every row has at least one neighbour (a mapping spans >= 2 rows).
+        victim = self.context.rng.choice(self.context.rowmap.logical_neighbors(row, 1))
         self.queue_victim_refresh(rank, bank, victim)
         self.refreshes_injected += 1

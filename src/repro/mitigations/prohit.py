@@ -79,7 +79,7 @@ class ProHit(MitigationMechanism):
                 if not hot:
                     continue
                 target = hot.pop(0)
-                for victim in self.context.adjacency(rank, bank, target, 1):
+                for victim in self.context.rowmap.logical_neighbors(target, 1):
                     self.queue_victim_refresh(rank, bank, victim)
                     self.refreshes_injected += 1
             self._next_tick += self.context.spec.tREFI

@@ -76,8 +76,8 @@ class TWiCe(MitigationMechanism):
         self.max_table_entries = max(self.max_table_entries, len(table))
         if entry.count >= self.refresh_threshold:
             victims = 0
-            for victim in self.context.adjacency(
-                rank, bank, row, self.context.blast_radius
+            for victim in self.context.rowmap.logical_neighbors(
+                row, self.context.blast_radius
             ):
                 self.queue_victim_refresh(rank, bank, victim)
                 self.refreshes_injected += 1

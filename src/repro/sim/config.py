@@ -6,12 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.dram.address import MappingScheme
 from repro.dram.rowhammer import DisturbanceProfile
-from repro.dram.rowmap import (
-    LinearRowMapping,
-    MirroredRowMapping,
-    RowMapping,
-    ScrambledRowMapping,
-)
+from repro.dram.rowmap import ROWMAP_KINDS, RowMapping, check_rowmap_kind
 from repro.dram.spec import DDR4_2400, DramSpec
 from repro.cpu.core import CoreParams
 from repro.mem.controller import ControllerConfig
@@ -37,8 +32,11 @@ class SystemConfig:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     core: CoreParams = field(default_factory=CoreParams)
     disturbance: DisturbanceProfile = field(default_factory=DisturbanceProfile)
-    rowmap_kind: str = "linear"  # linear | mirrored | scrambled
+    rowmap_kind: str = "linear"  # a key of repro.dram.rowmap.ROWMAP_KINDS
     rowmap_seed: int = 0xC0FFEE
+    #: The row-map kind the mitigation assumes when it looks up victims.
+    #: ``None`` hands it the device's true mapping (vendor knowledge).
+    assumed_rowmap_kind: str | None = None
     use_llc: bool = False
     llc_bytes: int = 16 * 1024 * 1024
     llc_ways: int = 8
@@ -47,6 +45,9 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.num_channels is not None and self.num_channels < 1:
             raise ConfigError("num_channels must be >= 1")
+        check_rowmap_kind(self.rowmap_kind)
+        if self.assumed_rowmap_kind is not None:
+            check_rowmap_kind(self.assumed_rowmap_kind, "assumed_rowmap_kind")
 
     @property
     def channels(self) -> int:
@@ -58,13 +59,8 @@ class SystemConfig:
         address mapping and the MemorySystem agree on channel bits."""
         return self.spec.with_channels(self.channels)
 
-    def build_rowmap(self) -> RowMapping:
-        """Instantiate the configured in-DRAM row mapping."""
-        rows = self.spec.rows_per_bank
-        if self.rowmap_kind == "linear":
-            return LinearRowMapping(rows)
-        if self.rowmap_kind == "mirrored":
-            return MirroredRowMapping(rows)
-        if self.rowmap_kind == "scrambled":
-            return ScrambledRowMapping(rows, seed=self.rowmap_seed)
-        raise ConfigError(f"unknown rowmap kind: {self.rowmap_kind!r}")
+    def build_rowmap(self, kind: str | None = None) -> RowMapping:
+        """Instantiate the in-DRAM row mapping of ``kind`` (default: the
+        configured ``rowmap_kind``)."""
+        constructor = ROWMAP_KINDS[kind or self.rowmap_kind]
+        return constructor(self.spec.rows_per_bank, self.rowmap_seed)

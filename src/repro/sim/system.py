@@ -30,11 +30,7 @@ from repro.dram.address import AddressMapping
 from repro.mem.memsystem import MemorySystem, MitigationFactory
 from repro.mem.request import Request
 from repro.mem.scheduler import FrFcfsPolicy, SchedulingPolicy
-from repro.mitigations.base import (
-    AdjacencyOracle,
-    MitigationMechanism,
-    NoMitigation,
-)
+from repro.mitigations.base import MitigationMechanism, NoMitigation
 from repro.sim.config import SystemConfig
 from repro.sim.engine import EventQueue
 from repro.sim.stats import SimResult, ThreadResult
@@ -59,7 +55,6 @@ class System:
         traces: list[Trace],
         mitigation: MitigationMechanism | None = None,
         policy: SchedulingPolicy | None = None,
-        adjacency_override: AdjacencyOracle | None = None,
         core_params_per_thread: list | None = None,
         mitigation_factory: MitigationFactory | None = None,
         governor=None,
@@ -104,7 +99,6 @@ class System:
             num_threads=len(traces),
             mitigation_factory=mitigation_factory,
             policy=policy or FrFcfsPolicy(),
-            adjacency_override=adjacency_override,
             rng=self.rng,
         )
         self.controllers = self.memsys.controllers

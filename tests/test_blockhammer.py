@@ -92,7 +92,7 @@ def test_table6_properties():
 
 
 def test_blockhammer_issues_no_victim_refreshes(small_spec):
-    """BlockHammer never needs the adjacency oracle (Section 9 prop 2)."""
+    """BlockHammer never needs the row mapping (Section 9 prop 2)."""
     mechanism = BlockHammer()
     system = build_attack_system(small_spec, mechanism)
     result = system.run(instructions_per_thread=30_000)

@@ -7,15 +7,18 @@ do that at full fidelity.
 
 import pytest
 
+from repro.harness.cache import ResultCache
 from repro.harness.experiments import (
     fig4_group_means,
     fig4_singlecore,
     fig5_multicore,
     rhli_experiment,
+    rowmap_ablation,
     sec84_internals,
     summarize_mix_rows,
     table8_calibration,
 )
+from repro.harness.parallel import SweepReport
 from repro.harness.runner import HarnessConfig
 from repro.workloads.mixes import WorkloadMix, benign_mixes
 
@@ -127,3 +130,26 @@ def test_table8_driver_shape(tiny_hcfg):
     rows = table8_calibration(tiny_hcfg, ["429.mcf"])
     assert rows[0]["app"] == "429.mcf"
     assert rows[0]["measured_mpki"] > 0
+
+
+def test_rowmap_ablation_rows_workers_and_warm_cache(tmp_path):
+    """The row-map ablation is an ordinary job sweep: pinned rows, the
+    same rows on a pool, and a warm rerun that simulates nothing."""
+    hcfg = HarnessConfig(scale=1024, paper_nrh=32768, instructions_per_thread=2000)
+    mechanisms = ["graphene", "blockhammer"]
+    cache = ResultCache(tmp_path)
+    rows = rowmap_ablation(hcfg, mechanisms, workers=1, cache=cache)
+    assert [
+        (r["mechanism"], r["adjacency"], r["bitflips"], r["victim_refreshes"])
+        for r in rows
+    ] == [
+        ("none", "n/a", 64, 0),
+        ("graphene", "true", 0, 660),
+        ("graphene", "assumed-linear", 64, 660),
+        ("blockhammer", "true", 0, 0),
+        ("blockhammer", "assumed-linear", 0, 0),
+    ]
+    assert rowmap_ablation(hcfg, mechanisms, workers=2) == rows
+    report = SweepReport()
+    assert rowmap_ablation(hcfg, mechanisms, cache=cache, report=report) == rows
+    assert report.executed == 0 and report.cached == len(rows)

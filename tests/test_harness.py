@@ -11,6 +11,7 @@ from repro.harness.experiments import _benign_ipc_maps, mix_sweep_jobs
 from repro.harness.parallel import mix_key, run_jobs
 from repro.harness.reporting import format_table
 from repro.harness.runner import HarnessConfig, Runner
+from repro.obs.probe import TelemetryBus
 from repro.utils.validation import ConfigError
 from repro.workloads.mixes import attack_mixes, benign_mixes
 
@@ -45,12 +46,20 @@ def test_scaled_nrh_consistency(hcfg):
         ("blast_decay", 0.0),
         ("blast_decay", 1.5),
         ("rowmap_kind", "bogus"),
+        ("assumed_rowmap_kind", "bogus"),
         ("max_time_ns", 0.0),
     ],
 )
 def test_harness_config_rejects_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field):
         HarnessConfig(**{field: value})
+
+
+def test_runner_rejects_obs_with_capture_commands():
+    """Both claim the device command-log hook: the obs trace would
+    silently lose every DRAM command."""
+    with pytest.raises(ConfigError, match="mutually exclusive"):
+        Runner(HarnessConfig(), capture_commands=True, obs=TelemetryBus())
 
 
 def test_cli_rejects_bad_config_before_dispatch(monkeypatch):

@@ -3,6 +3,7 @@ mechanisms)."""
 
 import pytest
 
+from repro.dram.rowmap import LinearRowMapping
 from repro.dram.spec import DDR4_2400
 from repro.mitigations.base import MitigationContext
 from repro.mitigations.mrloc import MrLoc
@@ -13,21 +14,11 @@ from repro.utils.rng import DeterministicRng
 
 def make_context(nrh=32768, spec=None):
     spec = spec or DDR4_2400
-
-    def adjacency(rank, bank, row, distance):
-        out = []
-        for k in range(1, distance + 1):
-            if row - k >= 0:
-                out.append(row - k)
-            if row + k < spec.rows_per_bank:
-                out.append(row + k)
-        return out
-
     return MitigationContext(
         spec=spec,
         num_threads=2,
         rng=DeterministicRng(5),
-        adjacency=adjacency,
+        rowmap=LinearRowMapping(spec.rows_per_bank),
         nrh=nrh,
         blast_radius=1,
     )

@@ -113,6 +113,27 @@ def test_invalid_rowmap_kind(small_spec):
         SystemConfig(spec=small_spec, rowmap_kind="bogus").build_rowmap()
 
 
+def test_invalid_assumed_rowmap_kind_fails_at_construction(small_spec):
+    with pytest.raises(ConfigError, match="assumed_rowmap_kind"):
+        SystemConfig(spec=small_spec, assumed_rowmap_kind="bogus")
+
+
+def test_mechanism_assumes_device_rowmap_unless_configured(small_spec):
+    true = System(
+        SystemConfig(spec=small_spec, rowmap_kind="scrambled"),
+        [ListTrace(make_records())],
+    )
+    assert true.mitigation.context.rowmap is true.device.row_mapping
+    assumed = System(
+        SystemConfig(
+            spec=small_spec, rowmap_kind="scrambled", assumed_rowmap_kind="linear"
+        ),
+        [ListTrace(make_records())],
+    )
+    assert assumed.mitigation.context.rowmap.logical_neighbors(10, 2) == [9, 11, 8, 12]
+    assert assumed.device.row_mapping.logical_neighbors(10, 2) != [9, 11, 8, 12]
+
+
 def test_bitflips_with_unprotected_hammer(small_spec):
     profile = DisturbanceProfile(nrh=64, blast_radius=1)
     config = SystemConfig(spec=small_spec, disturbance=profile)
