@@ -11,7 +11,7 @@ Run:  python examples/mechanism_comparison.py
 
 from repro import HarnessConfig, attack_mixes, format_table
 from repro.harness.experiments import assemble_mix_rows, mix_sweep_jobs
-from repro.harness.parallel import mix_key, run_jobs
+from repro.harness.parallel import mix_job, run_jobs
 from repro.mitigations.registry import PAPER_MECHANISMS
 
 
@@ -23,7 +23,7 @@ def main() -> None:
     # One baseline run, one run per mechanism, and the benign threads'
     # alone runs the speedup metrics normalize against.
     results = run_jobs(mix_sweep_jobs(hcfg, [mix], PAPER_MECHANISMS))
-    baseline = results[mix_key(hcfg, mix, "none")]
+    baseline = results[mix_job(hcfg, mix, "none")]
 
     rows = [["none (baseline)", 1.0, 1.0, 0, baseline.bitflips]]
     for row in assemble_mix_rows(hcfg, [mix], PAPER_MECHANISMS, "attack", results):

@@ -1,13 +1,14 @@
 """Persistent cross-sweep result cache.
 
-Every :class:`~repro.harness.parallel.SimJob` is a pure function of its
-``key`` (configuration + workload + mechanism) and of the simulator
+A :class:`~repro.harness.parallel.SimJob`'s result is a pure function of
+the job (configuration + workload + mechanism) and of the simulator
 source code.  This module stores finished :class:`JobResult`\\ s as JSON
-on disk, content-addressed by ``sha256(source_fingerprint + repr(key))``,
-so re-running an unchanged sweep (``fig4``/``fig5``/``chansweep``/
-``fig6``/``rhli``/``sec84``/``table8``/``rowmap_ablation``) performs
-**zero** simulations and returns bit-identical rows — floats survive
-the JSON round-trip exactly (``repr`` shortest-round-trip encoding).  Every entry carries
+on disk, content-addressed by ``sha256(source_fingerprint + repr(job))``
+(the job's dataclass repr spells out every field it has), so re-running
+an unchanged sweep (``fig4``/``fig5``/``chansweep``/``fig6``/``rhli``/
+``sec84``/``table8``/``rowmap_ablation``) performs **zero** simulations
+and returns bit-identical rows — floats survive the JSON round-trip
+exactly (``repr`` shortest-round-trip encoding).  Every entry carries
 the job's full end-of-run record — results, energy, per-channel
 mechanism telemetry and governor actions — so any driver can be served
 by an entry another driver stored: a ``fig5`` sweep on disk serves the
@@ -44,7 +45,7 @@ from repro.sim.stats import ChannelResult, SimResult, ThreadResult
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Bump when the JSON layout changes (old entries are ignored).
-_FORMAT = 2
+_FORMAT = 3
 
 
 @lru_cache(maxsize=1)
@@ -116,7 +117,7 @@ class ResultCache:
     """Content-addressed on-disk store of finished :class:`JobResult`\\ s.
 
     One JSON file per job, named by
-    ``sha256(fingerprint | repr(job.key))``; the stored key repr is
+    ``sha256(fingerprint | repr(job))``; the stored job repr is
     re-verified on load so a truncated-hash collision can never serve the
     wrong simulation.
 
@@ -148,15 +149,15 @@ class ResultCache:
     # ------------------------------------------------------------------
     def _path(self, job) -> pathlib.Path:
         name = hashlib.sha256(
-            f"{self.fingerprint}|{job.key!r}".encode()
+            f"{self.fingerprint}|{job!r}".encode()
         ).hexdigest()[:40]
         return self.root / f"{name}.json"
 
     def get(self, job):
         """The cached :class:`JobResult` for ``job``, or None.
 
-        A hit requires the format, fingerprint and key to match exactly.
-        Corrupt entries — truncated or garbage JSON, or JSON whose
+        A hit requires the format, fingerprint and job repr to match
+        exactly.  Corrupt entries — truncated or garbage JSON, or JSON whose
         decode blows up — are **quarantined** (renamed to ``*.corrupt``)
         and counted in :attr:`corrupt`, so they stop being re-parsed on
         every run and the job cleanly re-simulates.
@@ -180,14 +181,13 @@ class ResultCache:
         if (
             data.get("format") != _FORMAT
             or data.get("fingerprint") != self.fingerprint
-            or data.get("key") != repr(job.key)
+            or data.get("key") != repr(job)
         ):
             self.misses += 1
             return None
         try:
             result = JobResult(
-                key=job.key,
-                mechanism_name=data["mechanism_name"],
+                key=job,
                 result=_decode_result(data["result"]),
                 energy=EnergyBreakdown(**data["energy"]),
                 telemetry=[MechanismTelemetry(**t) for t in data["telemetry"]],
@@ -223,8 +223,7 @@ class ResultCache:
         data = {
             "format": _FORMAT,
             "fingerprint": self.fingerprint,
-            "key": repr(job.key),
-            "mechanism_name": result.mechanism_name,
+            "key": repr(job),
             "result": dataclasses.asdict(result.result),
             "energy": dataclasses.asdict(result.energy),
             "telemetry": [dataclasses.asdict(t) for t in result.telemetry],

@@ -460,7 +460,7 @@ def _channel_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("channel counts must be >= 1")
     if len(set(values)) != len(values):
         # A duplicated point would duplicate every output row (the
-        # simulations themselves dedup by job key).
+        # equal simulations themselves run once).
         raise argparse.ArgumentTypeError("channel counts must be distinct")
     return values
 

@@ -8,15 +8,15 @@ Every sweep driver follows the same three-stage shape on top of
 :mod:`repro.harness.parallel`:
 
 1. **declare jobs** — enumerate the independent simulations (including
-   the shared baseline and alone-IPC runs, which are deduplicated by
-   job key so they execute once and serve every mechanism/scenario);
+   the shared baseline and alone-IPC runs, which are equal jobs, so
+   they execute once and serve every mechanism/scenario);
 2. **execute** — :func:`~repro.harness.parallel.run_jobs`, serially or
    over a process pool; each driver forwards its ``**execution``
    keywords (``workers``, ``cache``, ``policy``, ``report``, …) to it
    unchanged;
 3. **assemble rows** — walk the declared structure and build rows from
-   the keyed results, so row order and content are independent of how
-   (and in what order) the jobs ran.
+   the results indexed by the declared jobs, so row order and content
+   are independent of how (and in what order) the jobs ran.
 
 Under ``run_jobs(..., on_error="skip")`` the result mapping may carry
 structured :class:`~repro.harness.parallel.JobFailure` records for jobs
@@ -38,10 +38,8 @@ from repro.harness.parallel import (
     ablation_job,
     failed,
     mix_job,
-    mix_key,
     run_jobs,
     single_job,
-    single_key,
 )
 from repro.harness.runner import HarnessConfig
 from repro.metrics.speedup import MultiprogramMetrics, compute_metrics
@@ -94,12 +92,12 @@ def fig4_singlecore(
     rows = []
     for app in apps:
         profile = next(p for p in TABLE8_PROFILES if p.name == app)
-        base = results[single_key(hcfg, app, 0, "none")]
+        base = results[single_job(hcfg, app, "none")]
         if not failed(base):
             base_time = base.result.threads[0].finish_time_ns
             base_energy = base.energy.total_j
         for mechanism in mechanisms:
-            outcome = results[single_key(hcfg, app, 0, mechanism)]
+            outcome = results[single_job(hcfg, app, mechanism)]
             if failed(base) or failed(outcome):
                 rows.append(
                     {
@@ -172,30 +170,35 @@ def mix_sweep_jobs(
     mechanisms: list[str],
 ) -> list[SimJob]:
     """Jobs for a (mix × mechanism) sweep: the shared baseline run, one
-    run per mechanism, and the benign alone-IPC runs.  Alone runs are
-    keyed by (config, app, slot, pinned) and deduplicate across mixes,
-    scenarios, and NRH-sweep call sites batched into one execution;
-    pinned (channel-affine) mix slots get pinned alone runs so the
-    normalization trace matches the mix's bit-exactly."""
+    run per mechanism, and the benign alone-IPC runs
+    (:func:`_alone_jobs`), which deduplicate across mixes, scenarios,
+    and NRH-sweep call sites batched into one execution."""
     jobs = []
     for mix in mixes:
         jobs.append(mix_job(hcfg, mix, "none"))
         for mechanism in mechanisms:
             jobs.append(mix_job(hcfg, mix, mechanism))
-        for slot, app in enumerate(mix.app_names):
-            if slot in mix.attacker_threads:
-                continue
-            jobs.append(
-                single_job(
-                    hcfg,
-                    app,
-                    "none",
-                    slot=slot,
-                    pinned=mix.pinned_channel(slot),
-                    threads=len(mix.app_names),
-                )
-            )
+        jobs += _alone_jobs(hcfg, mix).values()
     return jobs
+
+
+def _alone_jobs(hcfg: HarnessConfig, mix: WorkloadMix) -> dict[int, SimJob]:
+    """Each benign slot's alone-IPC job: the slot's app alone on the
+    baseline, seeded as that slot, with the mix's row-stripe width and
+    the slot's channel pinning, so it replays the mix slot's trace
+    bit-exactly."""
+    return {
+        slot: single_job(
+            hcfg,
+            app,
+            "none",
+            slot=slot,
+            pinned=mix.pinned_channel(slot),
+            threads=len(mix.app_names),
+        )
+        for slot, app in enumerate(mix.app_names)
+        if slot not in mix.attacker_threads
+    }
 
 
 def _benign_ipc_maps(
@@ -205,16 +208,11 @@ def _benign_ipc_maps(
     results: dict,
 ) -> tuple[dict[int, float], dict[int, float]]:
     """(shared, alone) IPC maps over the mix's benign threads."""
-    shared: dict[int, float] = {}
-    alone: dict[int, float] = {}
-    for slot, app in enumerate(mix.app_names):
-        if slot in mix.attacker_threads:
-            continue
-        shared[slot] = outcome.result.threads[slot].ipc
-        alone_key = single_key(
-            hcfg, app, slot, "none", mix.pinned_channel(slot), len(mix.app_names)
-        )
-        alone[slot] = results[alone_key].result.threads[0].ipc
+    alone = {
+        slot: results[job].result.threads[0].ipc
+        for slot, job in _alone_jobs(hcfg, mix).items()
+    }
+    shared = {slot: outcome.result.threads[slot].ipc for slot in alone}
     return shared, alone
 
 
@@ -223,17 +221,8 @@ def _mix_inputs_failed(
 ) -> bool:
     """Whether the shared inputs of a mix's rows — the baseline run or
     any benign alone-IPC run — are :class:`JobFailure` records."""
-    if failed(results[mix_key(hcfg, mix, "none")]):
-        return True
-    for slot, app in enumerate(mix.app_names):
-        if slot in mix.attacker_threads:
-            continue
-        alone_key = single_key(
-            hcfg, app, slot, "none", mix.pinned_channel(slot), len(mix.app_names)
-        )
-        if failed(results[alone_key]):
-            return True
-    return False
+    inputs = [mix_job(hcfg, mix, "none"), *_alone_jobs(hcfg, mix).values()]
+    return any(failed(results[job]) for job in inputs)
 
 
 def assemble_mix_rows(
@@ -254,12 +243,12 @@ def assemble_mix_rows(
     for mix in mixes:
         shared_failed = _mix_inputs_failed(hcfg, mix, results)
         if not shared_failed:
-            base = results[mix_key(hcfg, mix, "none")]
+            base = results[mix_job(hcfg, mix, "none")]
             shared, alone = _benign_ipc_maps(hcfg, mix, base, results)
             base_metrics = compute_metrics(shared, alone)
             base_energy = base.energy.total_j
         for mechanism in mechanisms:
-            outcome = results[mix_key(hcfg, mix, mechanism)]
+            outcome = results[mix_job(hcfg, mix, mechanism)]
             if shared_failed or failed(outcome):
                 rows.append(
                     MixOutcomeRow(
@@ -385,9 +374,9 @@ def assemble_attribution_rows(
     rows = []
     for mix in mixes:
         attackers = sorted(mix.attacker_threads)
-        base = results[mix_key(hcfg, mix, "none")]
+        base = results[mix_job(hcfg, mix, "none")]
         for mechanism in mechanisms:
-            outcome = results[mix_key(hcfg, mix, mechanism)]
+            outcome = results[mix_job(hcfg, mix, mechanism)]
             if failed(base) or failed(outcome):
                 continue  # no per-channel data to attribute
             for channel, telemetry in enumerate(outcome.telemetry):
@@ -465,7 +454,7 @@ def channel_scaling_jobs(
     mechanisms: list[str],
 ) -> list[SimJob]:
     """One job batch covering every (channel count × layout) sweep
-    point.  Jobs are keyed by their per-point configuration, so the
+    point.  Each job carries its per-point configuration, so the
     batch dedups anything shared in-process and the persistent result
     cache dedups across runs: re-running the sweep is fully warm, and a
     ``--channels 1`` fig5 sweep already on disk serves every job of this
@@ -639,12 +628,12 @@ def os_policy_sweep(
             if slot not in mix.attacker_threads
         ]
         for mechanism in mechanisms:
-            base = results[mix_key(hcfg, mix, mechanism, governor=None)]
+            base = results[mix_job(hcfg, mix, mechanism, governor=None)]
             if not failed(base):
                 base_ipc = {slot: base.result.threads[slot].ipc for slot in benign}
             for policy in policies:
                 spec = OS_SWEEP_POLICIES[policy]
-                outcome = results[mix_key(hcfg, mix, mechanism, governor=spec)]
+                outcome = results[mix_job(hcfg, mix, mechanism, governor=spec)]
                 if failed(base) or failed(outcome):
                     rows.append(
                         {
@@ -767,7 +756,7 @@ def rhli_experiment(
         attacker_rhli = []
         benign_rhli = []
         for mix in mixes:
-            entry = results[mix_key(hcfg, mix, mode)]
+            entry = results[mix_job(hcfg, mix, mode)]
             if failed(entry):
                 continue  # excluded from the mode's statistics
             rhli = max_thread_rhli(entry.telemetry, len(mix.app_names))
@@ -806,7 +795,7 @@ def sec84_internals(
     fp_acts = 0
     delays: list[float] = []
     for mix in mixes:
-        entry = results[mix_key(hcfg, mix, "blockhammer")]
+        entry = results[mix_job(hcfg, mix, "blockhammer")]
         if failed(entry):
             continue  # excluded from the aggregate statistics
         counters = sum_counters(entry.telemetry)
@@ -853,7 +842,7 @@ def table8_calibration(
     rows = []
     for app in apps:
         profile = next(p for p in TABLE8_PROFILES if p.name == app)
-        entry = results[single_key(hcfg, app, 0, "none")]
+        entry = results[single_job(hcfg, app, "none")]
         thread = None if failed(entry) else entry.result.threads[0]
         rows.append(
             {
@@ -911,7 +900,7 @@ def rowmap_ablation(
     results = run_jobs(jobs, **execution)
     rows = []
     for (mechanism, label, _), job in zip(cases, jobs):
-        entry = None if failed(results[job.key]) else results[job.key]
+        entry = None if failed(results[job]) else results[job]
         rows.append(
             {
                 "mechanism": mechanism,

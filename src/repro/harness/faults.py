@@ -20,9 +20,9 @@ so faults fire *inside worker processes* exactly like real failures:
   user interrupt mid-sweep (used to test checkpoint/resume: completed
   jobs must already be in the result cache).
 
-Faults are matched by a substring of ``repr(job.key)`` (keys embed the
-app/mix name and mechanism, so ``"403.gcc"`` or ``"blockhammer"`` are
-natural selectors) plus an optional 1-based attempt tuple — a fault on
+Faults are matched by a substring of ``repr(job)`` (a job's repr embeds
+the app/mix name and mechanism, so ``"403.gcc"`` or ``"blockhammer"``
+are natural selectors) plus an optional 1-based attempt tuple — a fault on
 ``attempts=(1,)`` fires once and lets the retry succeed, which is how
 the chaos tests prove retried sweeps are bit-identical to fault-free
 ones.
@@ -56,7 +56,7 @@ class SimulatedCrash(RuntimeError):
 @dataclass(frozen=True)
 class FaultSpec:
     """One fault: *which* jobs (``match`` — substring of
-    ``repr(job.key)``), *when* (``attempts`` — 1-based attempt numbers,
+    ``repr(job)``), *when* (``attempts`` — 1-based attempt numbers,
     ``None`` = every attempt), and *what* (``action`` + ``seconds``)."""
 
     match: str
@@ -75,7 +75,7 @@ class FaultSpec:
             raise ValueError("fault seconds must be >= 0")
 
     def applies(self, job, attempt: int) -> bool:
-        if self.match not in repr(job.key):
+        if self.match not in repr(job):
             return False
         return self.attempts is None or attempt in self.attempts
 

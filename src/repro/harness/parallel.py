@@ -7,16 +7,17 @@ module turns those sweeps into explicit job lists that fan out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`:
 
 * :class:`SimJob` — a picklable, self-contained description of one
-  simulation (configuration + workload + mechanism).  Jobs carry a
-  deterministic ``key``; jobs with equal keys are executed once and
-  shared (every "app running alone on the baseline" run is a job keyed
-  by (config, app, slot) and deduplicated across mixes, scenarios, and
-  mechanisms).
+  simulation (configuration + workload + mechanism).  A job is its own
+  key: frozen-dataclass equality over every field is its identity, so
+  equal jobs are executed once and shared (every "app running alone on
+  the baseline" run is deduplicated across mixes, scenarios, and
+  mechanisms), and a field added to the job is part of the key without
+  anyone listing it.
 * :func:`run_jobs` — executes a job list, in worker processes when
   ``workers > 1`` and serially otherwise, and returns results keyed by
-  job key.  Result assembly is therefore order-independent: drivers
-  iterate their declared structure, not the completion order, so serial
-  and parallel execution produce **identical** rows.  Each job runs a
+  job.  Result assembly is therefore order-independent: drivers iterate
+  their declared structure, not the completion order, so serial and
+  parallel execution produce **identical** rows.  Each job runs a
   fully self-contained simulation with its own deterministic RNGs, so
   results are also bit-identical across worker counts.
 
@@ -25,7 +26,7 @@ execute → assemble-rows shape on top of these primitives.
 
 On top of in-batch deduplication, :func:`run_jobs` can consult the
 persistent cross-sweep result cache (:mod:`repro.harness.cache`): jobs
-whose key + source fingerprint match a stored entry are returned from
+whose ``repr`` + source fingerprint match a stored entry are returned from
 disk before any dispatch, so re-running an unchanged sweep performs
 zero simulations and yields bit-identical rows.
 
@@ -87,9 +88,6 @@ from repro.os.spec import GovernorSpec
 from repro.sim.stats import SimResult
 from repro.workloads.mixes import DEFAULT_MIX_THREADS, WorkloadMix
 
-JobKey = tuple
-
-
 @dataclass(frozen=True)
 class SimJob:
     """One independent simulation in a sweep.
@@ -107,12 +105,11 @@ class SimJob:
       workload (``Runner.run_ablation``); ``hcfg`` carries the chip's
       and the mechanism's row-map kinds and the run's duration.
 
-    ``key`` must be hashable, deterministic, and unique per distinct
-    simulation; jobs with equal keys are deduplicated by
-    :func:`run_jobs`.
+    Equal jobs describe the same simulation: :func:`run_jobs`
+    deduplicates them and keys its results by job, and the result cache
+    addresses entries by ``repr(job)``.
     """
 
-    key: JobKey
     hcfg: HarnessConfig
     kind: str
     mechanism: str = "none"
@@ -141,6 +138,12 @@ class SimJob:
         if self.kind != "mix" and self.governor is not None:
             raise ValueError("governors apply to mix jobs only")
 
+    @property
+    def key(self) -> SimJob:
+        """The job itself: ``results[job.key]`` and ``results[job]`` are
+        the same lookup."""
+        return self
+
 
 @dataclass
 class JobResult:
@@ -155,8 +158,7 @@ class JobResult:
     tools; the result cache does not store it.
     """
 
-    key: JobKey
-    mechanism_name: str
+    key: SimJob
     result: SimResult
     energy: EnergyBreakdown
     telemetry: list[MechanismTelemetry] = field(default_factory=list)
@@ -172,14 +174,14 @@ class JobResult:
 class JobFailure:
     """A job that exhausted its retry budget (``on_error="skip"``).
 
-    Stored in the ``run_jobs`` result mapping under the job's key, in
+    Stored in the ``run_jobs`` result mapping under its job, in
     place of a :class:`JobResult`; drivers test entries with
     :func:`failed` and render failed rows as ``-``.  ``kind`` is
     ``"crash"`` (worker death), ``"timeout"`` (per-job wall-clock
     limit), or ``"error"`` (the job raised).
     """
 
-    key: JobKey
+    key: SimJob
     kind: str
     attempts: int
     error: str = ""
@@ -199,7 +201,7 @@ class JobExecutionError(RuntimeError):
     def __init__(self, failures: list[JobFailure]) -> None:
         self.failures = failures
         detail = "; ".join(
-            f"{f.kind} after {f.attempts} attempt(s): {f.error or f.key!r}"
+            f"{f.kind} after {f.attempts} attempt(s): {f.error or _job_label(f.key)}"
             for f in failures[:3]
         )
         more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
@@ -253,8 +255,7 @@ def execute_job(job: SimJob) -> JobResult:
     else:
         outcome = runner.run_ablation(job.mechanism)
     return JobResult(
-        key=job.key,
-        mechanism_name=outcome.mechanism_name,
+        key=job,
         result=outcome.result,
         energy=outcome.energy,
         telemetry=[mechanism.os_telemetry() for mechanism in outcome.mechanisms],
@@ -268,14 +269,8 @@ def execute_job(job: SimJob) -> JobResult:
 # Sweep entry point.
 # ----------------------------------------------------------------------
 def dedupe_jobs(jobs: list[SimJob]) -> list[SimJob]:
-    """Unique jobs in first-occurrence order; jobs sharing a key must
-    be equal (describe the same simulation)."""
-    unique: dict[JobKey, SimJob] = {}
-    for job in jobs:
-        existing = unique.setdefault(job.key, job)
-        if existing != job:
-            raise ValueError(f"job key {job.key!r} reused for a different simulation")
-    return list(unique.values())
+    """Unique jobs in first-occurrence order."""
+    return list(dict.fromkeys(jobs))
 
 
 def _invoke_job(
@@ -291,8 +286,8 @@ def _invoke_job(
 
 
 def _job_label(job: SimJob) -> str:
-    """A short human label for progress lines (full keys embed the whole
-    HarnessConfig repr)."""
+    """A short human label for progress and failure lines (a job's repr
+    embeds the whole HarnessConfig)."""
     # An ablation job is labelled by the row mapping its mechanism assumes.
     what = job.app or (job.mix.name if job.mix else job.hcfg.assumed_rowmap_kind or "true")
     return f"{job.kind}:{what}:{job.mechanism}"
@@ -327,8 +322,8 @@ def run_jobs(
     faults: FaultPlan | None = None,
     report: SweepReport | None = None,
     progress: bool = False,
-) -> dict[JobKey, JobResult | JobFailure]:
-    """Execute ``jobs`` (deduplicated) and return results by job key.
+) -> dict[SimJob, JobResult | JobFailure]:
+    """Execute ``jobs`` (deduplicated) and return results by job.
 
     ``workers`` of ``None`` or ``<= 1`` runs serially in-process;
     ``workers > 1`` fans out over a process pool, moving in-process when
@@ -359,7 +354,7 @@ def run_jobs(
     rep = report if report is not None else SweepReport()
     rep.total += len(ordered)
     start = time.monotonic()
-    results: dict[JobKey, JobResult | JobFailure] = {}
+    results: dict[SimJob, JobResult | JobFailure] = {}
     pending = ordered
     try:
         if cache is not None:
@@ -369,7 +364,7 @@ def run_jobs(
                 hit = cache.get(job)
                 load_s = time.perf_counter() - load_start
                 if hit is not None:
-                    results[job.key] = hit
+                    results[job] = hit
                     rep.cached += 1
                     rep.profiles.append(
                         JobProfile(
@@ -387,7 +382,7 @@ def run_jobs(
         def checkpoint(
             job: SimJob, result: JobResult, wall_s: float, attempts: int
         ) -> None:
-            results[job.key] = result
+            results[job] = result
             if cache is not None:
                 cache.put(job, result)
             rep.executed += 1
@@ -424,18 +419,17 @@ def run_jobs(
         rep.elapsed_s += time.monotonic() - start
     rep.failures.extend(failures)
     if failures:
-        by_key = {job.key: job for job in pending}
         for failure in failures:
             rep.profiles.append(
                 JobProfile(
-                    _job_label(by_key[failure.key]),
+                    _job_label(failure.key),
                     "failed",
                     attempts=failure.attempts,
                 )
             )
         if progress:
             for failure in failures:
-                _print_progress(rep, by_key[failure.key], failure.kind.upper())
+                _print_progress(rep, failure.key, failure.kind.upper())
         if pol.on_error == "raise":
             raise JobExecutionError(failures)
         for failure in failures:
@@ -533,7 +527,7 @@ def _execute_jobs(
 
     def retry_or_fail(entry: _Attempt, kind: str, message: str, now: float) -> None:
         if entry.attempt >= policy.attempts:
-            failures.append(JobFailure(entry.job.key, kind, entry.attempt, message))
+            failures.append(JobFailure(entry.job, kind, entry.attempt, message))
             return
         report.retries += 1
         queue.append(
@@ -664,50 +658,8 @@ def _execute_jobs(
 
 
 # ----------------------------------------------------------------------
-# Key helpers shared by the experiment drivers.
+# Job constructors shared by the experiment drivers.
 # ----------------------------------------------------------------------
-def single_key(
-    hcfg: HarnessConfig,
-    app: str,
-    slot: int,
-    mechanism: str,
-    pinned: int | None = None,
-    threads: int = DEFAULT_MIX_THREADS,
-) -> JobKey:
-    """Key for an application running alone (slot-seeded; ``pinned``
-    and ``threads`` identify the channel-affine/stripe-layout variant
-    of the trace — mixes of different widths must not share alone
-    runs)."""
-    return ("single", hcfg, app, slot, mechanism, pinned, threads)
-
-
-def mix_key(
-    hcfg: HarnessConfig,
-    mix: WorkloadMix,
-    mechanism: str,
-    governor: GovernorSpec | None = None,
-) -> JobKey:
-    """Key for a multiprogrammed mix under a mechanism.
-
-    Covers every field that defines the simulation — ``has_attack``
-    changes core parameters and completion targets, ``attack_seed``
-    selects the attack trace, ``pinned_channels`` the channel layout,
-    and ``governor`` the OS policy above the memory system — so mixes
-    differing only there must not share a key.
-    """
-    return (
-        "mix",
-        hcfg,
-        mix.name,
-        mix.app_names,
-        mix.has_attack,
-        mix.attack_seed,
-        mix.pinned_channels,
-        mechanism,
-        governor,
-    )
-
-
 def single_job(
     hcfg: HarnessConfig,
     app: str,
@@ -717,7 +669,6 @@ def single_job(
     threads: int = DEFAULT_MIX_THREADS,
 ) -> SimJob:
     return SimJob(
-        key=single_key(hcfg, app, slot, mechanism, pinned, threads),
         hcfg=hcfg,
         kind="single",
         mechanism=mechanism,
@@ -734,17 +685,9 @@ def mix_job(
     mechanism: str = "none",
     governor: GovernorSpec | None = None,
 ) -> SimJob:
-    return SimJob(
-        key=mix_key(hcfg, mix, mechanism, governor),
-        hcfg=hcfg,
-        kind="mix",
-        mechanism=mechanism,
-        mix=mix,
-        governor=governor,
-    )
+    return SimJob(hcfg=hcfg, kind="mix", mechanism=mechanism, mix=mix, governor=governor)
 
 
 def ablation_job(hcfg: HarnessConfig, mechanism: str = "none") -> SimJob:
     # ``hcfg`` holds both row-map kinds and the run's duration.
-    key = ("ablation", hcfg, mechanism)
-    return SimJob(key=key, hcfg=hcfg, kind="ablation", mechanism=mechanism)
+    return SimJob(hcfg=hcfg, kind="ablation", mechanism=mechanism)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.harness.parallel import _job_label
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -120,9 +122,10 @@ def format_os_policy(rows: list[dict]) -> str:
 def format_sweep_report(report) -> str:
     """Render a :class:`~repro.harness.parallel.SweepReport`: one
     headline line of sweep-level progress counters, plus one line per
-    structured job failure (kind, attempts, error).  The CLI prints this
-    to stderr under ``--progress``; a fault-free sweep reads
-    ``0 retries, 0 timeouts, 0 crashes, 0 failed``."""
+    structured job failure (kind, attempts, and the error, or the job's
+    label when the error text is empty).  The CLI prints this to stderr
+    under ``--progress``; a fault-free sweep reads ``0 retries,
+    0 timeouts, 0 crashes, 0 failed``."""
     lines = [
         f"sweep: {report.total} job(s) — {report.cached} cached, "
         f"{report.executed} executed, {report.retries} retries, "
@@ -132,7 +135,7 @@ def format_sweep_report(report) -> str:
     for failure in report.failures:
         lines.append(
             f"  FAILED [{failure.kind}] after {failure.attempts} attempt(s): "
-            f"{failure.error or failure.key!r}"
+            f"{failure.error or _job_label(failure.key)}"
         )
     return "\n".join(lines)
 

@@ -171,7 +171,6 @@ class RunOutcome:
     """One simulation's results plus derived energy and the per-channel
     mechanism instances."""
 
-    mechanism_name: str
     result: SimResult
     energy: EnergyBreakdown
     #: One mitigation instance per memory channel (state is never shared
@@ -231,11 +230,9 @@ class Runner:
         mechanism_name: str,
         core_params_per_thread: list | None = None,
         governor: GovernorSpec | None = None,
-        **mechanism_kwargs,
     ) -> System:
-        kwargs = dict(self.hcfg.mechanism_kwargs(mechanism_name))
-        kwargs.update(mechanism_kwargs)
-        system = System(
+        kwargs = self.hcfg.mechanism_kwargs(mechanism_name)
+        return System(
             self.hcfg.system_config(),
             traces,
             # One fresh mechanism per channel: state is never shared.
@@ -246,7 +243,6 @@ class Runner:
             governor=build_governor(governor),
             obs=self.obs,
         )
-        return system
 
     def run_traces(
         self,
@@ -255,7 +251,6 @@ class Runner:
         targets: int | list[int | None] | None = None,
         core_params_per_thread: list | None = None,
         governor: GovernorSpec | None = None,
-        **mechanism_kwargs,
     ) -> RunOutcome:
         """Run arbitrary traces under a mechanism (optionally with an
         OS governor described by ``governor``)."""
@@ -264,7 +259,6 @@ class Runner:
             mechanism_name,
             core_params_per_thread=core_params_per_thread,
             governor=governor,
-            **mechanism_kwargs,
         )
         logs: tuple[list, ...] | None = None
         if self.capture_commands:
@@ -279,7 +273,6 @@ class Runner:
             warmup_ns=self.hcfg.warmup_ns,
         )
         return RunOutcome(
-            mechanism_name=mechanism_name,
             result=result,
             energy=self.energy_model.energy_of(result),
             mechanisms=tuple(system.mitigations),
@@ -317,7 +310,6 @@ class Runner:
         mix: WorkloadMix,
         mechanism_name: str = "none",
         governor: GovernorSpec | None = None,
-        **mechanism_kwargs,
     ) -> RunOutcome:
         """Multiprogrammed run (Figures 5/6).
 
@@ -342,7 +334,6 @@ class Runner:
             targets,
             core_params_per_thread=per_thread,
             governor=governor,
-            **mechanism_kwargs,
         )
 
     def run_ablation(self, mechanism_name: str) -> RunOutcome:

@@ -26,7 +26,7 @@ golden fixtures and ``scripts/perf_guard.py`` pin this down.
 """
 
 from repro.obs.metrics import EpochMetricsCollector
-from repro.obs.probe import NULL_PROBE, ObsConfig, Probe, TelemetryBus
+from repro.obs.probe import ObsConfig, Probe, TelemetryBus
 from repro.obs.profile import JobProfile, report_to_json, write_report_json
 from repro.obs.trace import (
     ChannelCommandLog,
@@ -36,7 +36,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "NULL_PROBE",
     "ObsConfig",
     "Probe",
     "TelemetryBus",

@@ -8,10 +8,8 @@ touched on the hot path) and emission sites read::
     if self.probe is not None:
         self.probe(now, "vref", self.channel_id, rank=rank, bank=bank)
 
-placed only on branches that already fire rarely.  :data:`NULL_PROBE`
-is the defensive falsy no-op for call sites that prefer holding a
-callable over holding ``None``; both spellings cost nothing when
-observability is off.
+placed only on branches that already fire rarely, so it costs nothing
+when observability is off.
 
 :class:`TelemetryBus` owns the per-run sinks (trace ring buffer, epoch
 metrics collector) and hands out probes per category.  The
@@ -24,25 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class _NullProbe:
-    """Falsy, callable, argument-agnostic no-op (the disabled probe)."""
-
-    __slots__ = ()
-
-    def __call__(self, *args, **kwargs) -> None:
-        return None
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "NULL_PROBE"
-
-
-#: The process-wide disabled probe (falsy; calling it does nothing).
-NULL_PROBE = _NullProbe()
-
-
 class Probe:
     """A category-bound event emitter attached to a trace sink."""
 
@@ -53,9 +32,6 @@ class Probe:
         # Bind the sink's emit method once: a probe call is one
         # dictionary build plus one deque append.
         self._emit = sink.emit
-
-    def __bool__(self) -> bool:
-        return True
 
     def __call__(self, ts: float, name: str, track: int = 0, **args) -> None:
         """Record an instant event at ``ts`` (simulated nanoseconds).
@@ -88,9 +64,9 @@ class ObsConfig:
     trace_commands: bool = True
     #: Collect per-epoch metrics rows.
     metrics: bool = False
-    #: Metrics sampling period; ``None`` defers to the system default
-    #: (the channel-0 mechanism's epoch where it has one, else half the
-    #: refresh window — the same rule the OS governor uses).
+    #: Metrics sampling period; ``None`` defers to the system default,
+    #: :meth:`~repro.sim.system.System.default_epoch_ns` (the same rule
+    #: the OS governor uses).
     metrics_epoch_ns: float | None = None
 
 
@@ -116,13 +92,10 @@ class TelemetryBus:
         """Whether any sink is live (an inert bus wires nothing)."""
         return self.trace is not None or self.metrics is not None
 
-    def probe(self, category: str):
-        """A :class:`Probe` for ``category`` when tracing is on, else
-        :data:`NULL_PROBE` (falsy — callers binding component probe
-        attributes store ``None`` instead and skip the call entirely).
-        """
-        if self.trace is None:
-            return NULL_PROBE
+    def probe(self, category: str) -> Probe:
+        """A :class:`Probe` for ``category`` on the trace sink.  Only a
+        bus with tracing on hands out probes; components of an untraced
+        run keep ``probe = None``."""
         return Probe(self.trace, category)
 
     def note_measurement_reset(self, now: float) -> None:

@@ -35,8 +35,8 @@ class Governor:
         if epoch_ns is not None:
             require(epoch_ns > 0.0, "governor epoch must be positive")
         self.policies = list(policies)
-        #: Review cadence; ``None`` defers to the attach-time default
-        #: (the channel-0 mechanism's RHLI counter epoch where it has one).
+        #: Review cadence; ``None`` defers to the attach-time default,
+        #: :meth:`~repro.sim.system.System.default_epoch_ns`.
         self.epoch_ns = epoch_ns
         self._next_review: float | None = None
         self._system = None
@@ -61,23 +61,12 @@ class Governor:
         every channel, actions land on cores."""
         self._system = system
         if self.epoch_ns is None:
-            self.epoch_ns = self._default_epoch(system)
+            self.epoch_ns = system.default_epoch_ns()
 
     def detach(self) -> None:
         """Unbind from the System (its run has ended); the action
         record stays."""
         self._system = None
-
-    def _default_epoch(self, system) -> float:
-        """Default review cadence: the channel-0 mechanism's epoch (the
-        RHLI counter cadence, per Section 3.2.3 — an OS could poll
-        faster at the cost of more scheduler work), else half the
-        refresh window (the CBF-lifetime convention)."""
-        mechanism = system.memsys.mitigations[0]
-        epoch = getattr(getattr(mechanism, "config", None), "epoch_ns", None)
-        if epoch is not None:
-            return epoch
-        return system.memsys.spec.tREFW / 2.0
 
     # ------------------------------------------------------------------
     # Review cadence.

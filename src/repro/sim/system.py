@@ -186,20 +186,22 @@ class System:
             if self.governor is not None:
                 self.governor.probe = obs.probe("os")
         if obs.metrics is not None:
-            self._metrics_period = self._metrics_epoch_ns()
+            configured = obs.config.metrics_epoch_ns
+            self._metrics_period = (
+                configured if configured is not None else self.default_epoch_ns()
+            )
 
-    def _metrics_epoch_ns(self) -> float:
-        """The metrics sampling period: the explicit config value, else
-        the channel-0 mechanism's epoch, else half the refresh window
-        (the same default the OS governor uses)."""
-        configured = self.obs.config.metrics_epoch_ns
-        if configured is not None:
-            return configured
-        mechanism_config = getattr(self.memsys.mitigations[0], "config", None)
-        epoch = getattr(mechanism_config, "epoch_ns", None)
-        if epoch:
+    def default_epoch_ns(self) -> float:
+        """The default cadence of OS governor reviews and of metrics
+        sampling: the channel-0 mechanism's epoch (the RHLI counter
+        cadence, per Section 3.2.3 — an OS could poll faster at the cost
+        of more scheduler work), else half the refresh window (the
+        CBF-lifetime convention)."""
+        config = getattr(self.memsys.mitigations[0], "config", None)
+        epoch = getattr(config, "epoch_ns", None)
+        if epoch is not None:
             return epoch
-        return self.config.effective_spec().tREFW / 2.0
+        return self.memsys.spec.tREFW / 2.0
 
     def _fire_metrics(self, now: float) -> None:
         self.obs.metrics.sample(self, now)

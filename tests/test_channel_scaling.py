@@ -25,7 +25,7 @@ import pytest
 
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import channel_scaling
-from repro.harness.parallel import SweepReport, mix_job, mix_key, run_jobs
+from repro.harness.parallel import SweepReport, mix_job, run_jobs
 from repro.harness.runner import HarnessConfig
 from repro.mitigations.base import max_thread_rhli, sum_counters
 from repro.workloads.mixes import ATTACKER_THREAD, attack_mixes
@@ -103,7 +103,7 @@ def attributed(rhli_hcfg):
     mix = attack_mixes(1)[0]
     job = mix_job(rhli_hcfg, mix, "blockhammer-observe")
     results = run_jobs([job], workers=1)
-    return mix, results[mix_key(rhli_hcfg, mix, "blockhammer-observe")]
+    return mix, results[mix_job(rhli_hcfg, mix, "blockhammer-observe")]
 
 
 def test_per_channel_rhli_maxes_to_aggregate(attributed):
@@ -147,7 +147,7 @@ def test_per_channel_counters_sum_to_aggregate(attributed):
 def test_single_channel_attribution_row_is_the_aggregate(tiny_hcfg):
     mix = attack_mixes(1)[0]
     job = mix_job(tiny_hcfg, mix, "blockhammer")
-    outcome = run_jobs([job], workers=1)[mix_key(tiny_hcfg, mix, "blockhammer")]
+    outcome = run_jobs([job], workers=1)[mix_job(tiny_hcfg, mix, "blockhammer")]
     rows = outcome.telemetry
     assert len(rows) == 1
     assert rows[0].thread_rhli == max_thread_rhli(rows, len(mix.app_names))
@@ -162,7 +162,7 @@ def test_attribution_tolerates_mechanisms_without_rhli(tiny_hcfg):
     degrade to None/zero, not raise."""
     mix = attack_mixes(1)[0]
     job = mix_job(tiny_hcfg, mix, "graphene")
-    outcome = run_jobs([job], workers=1)[mix_key(tiny_hcfg, mix, "graphene")]
+    outcome = run_jobs([job], workers=1)[mix_job(tiny_hcfg, mix, "graphene")]
     rows = outcome.telemetry
     assert len(rows) == 1
     assert rows[0].thread_rhli is None
@@ -179,7 +179,7 @@ def test_pinned_attacker_accrues_rhli_only_on_its_channel(rhli_hcfg):
     assert mix.pinned_channel(ATTACKER_THREAD) == 0
     job = mix_job(rhli_hcfg, mix, "blockhammer-observe")
     outcome = run_jobs([job], workers=1)[
-        mix_key(rhli_hcfg, mix, "blockhammer-observe")
+        mix_job(rhli_hcfg, mix, "blockhammer-observe")
     ]
     rows = outcome.telemetry
     assert len(rows) == 2

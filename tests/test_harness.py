@@ -8,7 +8,7 @@ import pytest
 
 from repro.harness import cli, experiments
 from repro.harness.experiments import _benign_ipc_maps, mix_sweep_jobs
-from repro.harness.parallel import mix_key, run_jobs
+from repro.harness.parallel import mix_job, run_jobs
 from repro.harness.reporting import format_table
 from repro.harness.runner import HarnessConfig, Runner
 from repro.obs.probe import TelemetryBus
@@ -104,7 +104,7 @@ def test_benign_ipc_maps_exclude_attacker(hcfg):
     # No alone run is declared for the attacker slot.
     assert {job.slot for job in jobs if job.kind == "single"} == set(range(1, 8))
     results = run_jobs(jobs)
-    outcome = results[mix_key(hcfg, mix, "none")]
+    outcome = results[mix_job(hcfg, mix, "none")]
     shared, alone = _benign_ipc_maps(hcfg, mix, outcome, results)
     assert 0 not in shared
     assert set(shared) == set(alone) == set(range(1, 8))

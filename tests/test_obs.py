@@ -1,8 +1,7 @@
 """Unit tests for the observability layer (`repro.obs`).
 
 The zero-overhead contract is probed directly: a disabled probe is
-*absence* (``None`` component attributes, the falsy :data:`NULL_PROBE`
-for callable-holding call sites), the trace sink is a bounded ring that
+*absence* (``None`` component attributes), the trace sink is a bounded ring that
 counts its losses, and the Perfetto export is plain ``trace_event``
 JSON any Chrome/Perfetto build can open.
 """
@@ -15,7 +14,6 @@ import pytest
 
 from repro.cpu.trace import ListTrace, TraceRecord
 from repro.obs import (
-    NULL_PROBE,
     ChannelCommandLog,
     EpochMetricsCollector,
     JobProfile,
@@ -37,12 +35,6 @@ from repro.utils.rng import DeterministicRng
 # ----------------------------------------------------------------------
 # Probe semantics.
 # ----------------------------------------------------------------------
-def test_null_probe_is_falsy_callable_noop():
-    assert not NULL_PROBE
-    assert NULL_PROBE(123.0, "anything", 4, foo="bar") is None
-    assert NULL_PROBE() is None  # argument-agnostic
-
-
 def test_probe_is_truthy_and_emits():
     sink = TraceSink()
     probe = Probe(sink, "mem")
@@ -61,7 +53,6 @@ def test_obs_config_defaults_are_inert():
     bus = TelemetryBus()
     assert not bus.enabled
     assert bus.trace is None and bus.metrics is None
-    assert bus.probe("mem") is NULL_PROBE
 
 
 def test_bus_hands_out_category_probes():
@@ -77,7 +68,6 @@ def test_bus_metrics_only_mode():
     bus = TelemetryBus(ObsConfig(metrics=True))
     assert bus.enabled
     assert bus.trace is None and bus.metrics is not None
-    assert bus.probe("mem") is NULL_PROBE  # no trace -> no live probes
 
 
 # ----------------------------------------------------------------------

@@ -15,12 +15,17 @@ nothing (pinned globally by the golden-fixture suites).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.blockhammer import BlockHammer
+from repro.core.config import BlockHammerConfig
 from repro.dram.address import AddressMapping, MappingScheme
 from repro.dram.rowhammer import DisturbanceProfile
 from repro.mitigations.graphene import Graphene
+from repro.mitigations.registry import build_mitigation
+from repro.obs.probe import ObsConfig, TelemetryBus
 from repro.os import (
     Governor,
     GovernorSpec,
@@ -382,3 +387,34 @@ def test_review_clock_anchors_to_first_observed_time():
     assert governor.start(250.0) == 350.0
     assert governor.advance(300.0) == 350.0
     assert governor.epochs == 0
+
+
+@pytest.mark.parametrize("mechanism", ["blockhammer", "none"])
+def test_governor_and_metrics_share_the_default_epoch(small_spec, mechanism):
+    """With no epoch configured, governor reviews and metrics samples
+    both run at ``System.default_epoch_ns``: the channel-0 mechanism's
+    epoch (here a BlockHammer whose CBF lifetime is 3/4 tREFW, so its
+    epoch differs from the fallback), else half the refresh window."""
+    t_refw = small_spec.tREFW
+    config = dataclasses.replace(
+        BlockHammerConfig.for_nrh(1024, small_spec), t_cbf_ns=0.75 * t_refw
+    )
+    factory = {
+        "blockhammer": lambda: BlockHammer(config),
+        "none": lambda: build_mitigation("none"),
+    }[mechanism]
+    expected = {"blockhammer": 0.375 * t_refw, "none": 0.5 * t_refw}[mechanism]
+    governor = Governor([KillPolicy()])
+    mapping = AddressMapping(small_spec, MappingScheme.MOP)
+    trace = build_benign_trace(profile_by_name("429.mcf"), small_spec, mapping, seed=4)
+    system = System(
+        SystemConfig(spec=small_spec),
+        [trace],
+        mitigation_factory=factory,
+        governor=governor,
+        obs=TelemetryBus(ObsConfig(metrics=True)),
+    )
+    assert system.default_epoch_ns() == expected
+    assert system._metrics_period == expected
+    system.run(instructions_per_thread=500)
+    assert governor.epoch_ns == expected

@@ -19,7 +19,7 @@ from repro.harness.experiments import (
     os_policy_sweep,
     os_sweep_jobs,
 )
-from repro.harness.parallel import SweepReport, mix_key
+from repro.harness.parallel import SweepReport, mix_job
 from repro.harness.reporting import format_os_policy
 from repro.harness.runner import HarnessConfig
 from repro.os.spec import GovernorSpec
@@ -44,8 +44,8 @@ def tiny_hcfg() -> HarnessConfig:
 def test_governed_jobs_keyed_apart(tiny_hcfg):
     mix = attack_mixes(1)[0]
     spec = OS_SWEEP_POLICIES["kill"]
-    governed = mix_key(tiny_hcfg, mix, "blockhammer", governor=spec)
-    ungoverned = mix_key(tiny_hcfg, mix, "blockhammer", governor=None)
+    governed = mix_job(tiny_hcfg, mix, "blockhammer", governor=spec)
+    ungoverned = mix_job(tiny_hcfg, mix, "blockhammer", governor=None)
     assert governed != ungoverned
     # The spec is hashable and repr-stable (cache key requirements).
     assert hash(spec) == hash(GovernorSpec(**{

@@ -24,7 +24,6 @@ from repro.harness.parallel import (
     mix_job,
     run_jobs,
     single_job,
-    single_key,
 )
 from repro.harness.runner import HarnessConfig
 
@@ -50,18 +49,11 @@ def test_single_job_keys_are_stable(tiny_hcfg):
     assert dedupe_jobs([a, b]) == [a]
 
 
-def test_dedupe_rejects_conflicting_reuse(tiny_hcfg):
-    a = single_job(tiny_hcfg, "403.gcc")
-    b = SimJob(key=a.key, hcfg=tiny_hcfg, kind="single", app="429.mcf")
-    with pytest.raises(ValueError):
-        dedupe_jobs([a, b])
-
-
 def test_job_validation(tiny_hcfg):
     with pytest.raises(ValueError):
-        SimJob(key=("x",), hcfg=tiny_hcfg, kind="nope")
+        SimJob(hcfg=tiny_hcfg, kind="nope")
     with pytest.raises(ValueError):
-        SimJob(key=("x",), hcfg=tiny_hcfg, kind="single")  # no app
+        SimJob(hcfg=tiny_hcfg, kind="single")  # no app
     # Unknown mechanisms fail here, not after the retry ladder in a
     # worker; the retired BlockHammer-plus-kill-governor name included.
     for name in ("blockhammer-0s", "blockhammer-os"):
@@ -171,10 +163,10 @@ def test_perf_smoke_parallel_path(tiny_hcfg):
     ]
     results = run_jobs(jobs, workers=2)
     assert set(results) == {j.key for j in jobs}
-    base = results[single_key(tiny_hcfg, "403.gcc", 0, "none")]
-    bh = results[single_key(tiny_hcfg, "403.gcc", 0, "blockhammer")]
+    base = results[single_job(tiny_hcfg, "403.gcc", "none")]
+    bh = results[single_job(tiny_hcfg, "403.gcc", "blockhammer")]
     assert base.result.threads[0].instructions >= tiny_hcfg.instructions_per_thread
-    assert bh.mechanism_name == "blockhammer"
+    assert bh.key.mechanism == "blockhammer"
     assert bh.bitflips == 0
     # The pool path and the in-process path agree exactly.
     assert execute_job(jobs[0]).result == base.result

@@ -59,7 +59,7 @@ def test_job_result_json_roundtrip_exact(tmp_path, hcfg2):
     # stats, per-channel rows, bit-flips, energy, telemetry.
     assert cached.result == fresh.result
     assert cached.energy == fresh.energy
-    assert cached.mechanism_name == fresh.mechanism_name
+    assert cached.key.mechanism == fresh.key.mechanism
     assert cached.telemetry == fresh.telemetry
     assert cached.governor_actions == fresh.governor_actions
     assert cached.extras == {}

@@ -13,6 +13,8 @@ from repro.harness import parallel
 from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan, FaultSpec, crash_once, hang_once
 from repro.harness.parallel import (
+    JobExecutionError,
+    JobFailure,
     SweepReport,
     failed,
     run_jobs,
@@ -21,6 +23,7 @@ from repro.harness.parallel import (
 from repro.harness.reporting import format_sweep_report
 from repro.harness.retry import ExecPolicy
 from repro.harness.runner import HarnessConfig
+from repro.obs.profile import report_to_json
 
 needs_pool = pytest.mark.skipif(
     not parallel.pool_available(), reason="process pools unavailable in sandbox"
@@ -75,6 +78,20 @@ def test_format_failures_only_sweep(jobs):
     assert all(p.attempts == FAST.attempts for p in report.profiles)
     text = format_sweep_report(report)
     assert text.count("FAILED [crash]") == len(jobs)
+
+
+def test_failure_without_error_text_is_named_by_label(jobs):
+    """An empty error falls back to the job's short label, not its repr
+    (which embeds the whole HarnessConfig); the JSON report keeps the
+    full repr."""
+    failure = JobFailure(jobs[0], "timeout", 3)
+    report = SweepReport(total=1, failures=[failure])
+    line = format_sweep_report(report).splitlines()[1]
+    assert line == "  FAILED [timeout] after 3 attempt(s): single:403.gcc:none"
+    assert str(JobExecutionError([failure])) == (
+        "1 job(s) failed: timeout after 3 attempt(s): single:403.gcc:none"
+    )
+    assert report_to_json(report)["failures"][0]["key"] == repr(jobs[0])
 
 
 # ----------------------------------------------------------------------
