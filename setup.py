@@ -1,8 +1,9 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Bare setuptools shim.
 
-The project metadata lives in pyproject.toml; this file exists so that
-``pip install -e .`` can use the legacy (setup.py develop) editable path
-in offline environments where PEP 660 wheel building is unavailable.
+It declares no metadata and no packages: the project has no
+pyproject.toml and is not installed.  Run it from the source tree with
+``PYTHONPATH=src`` (see README.md); the only runtime dependencies are
+numpy and scipy, for the Section 5 proof in ``repro.security``.
 """
 
 from setuptools import setup

@@ -8,7 +8,7 @@ requests.  :class:`BlockHammer` packages both behind the standard
 mitigation interface.
 """
 
-from repro.core.hashing import H3HashFamily, MixHashFamily, HashFamily
+from repro.core.hashing import MixHashFamily
 from repro.core.bloom import BloomFilter, CountingBloomFilter
 from repro.core.dcbf import DualCountingBloomFilter
 from repro.core.history import ActivationHistoryBuffer
@@ -18,8 +18,6 @@ from repro.core.throttler import AttackThrottler
 from repro.core.blockhammer import BlockHammer
 
 __all__ = [
-    "HashFamily",
-    "H3HashFamily",
     "MixHashFamily",
     "BloomFilter",
     "CountingBloomFilter",

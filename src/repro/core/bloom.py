@@ -10,7 +10,7 @@ activation count, so no aggressor can evade blacklisting.
 
 from __future__ import annotations
 
-from repro.core.hashing import HashFamily, MixHashFamily
+from repro.core.hashing import MixHashFamily
 from repro.utils.rng import DeterministicRng
 from repro.utils.validation import require
 
@@ -19,14 +19,11 @@ class BloomFilter:
     """Plain bit-array Bloom filter."""
 
     def __init__(
-        self, size: int, hash_count: int = 4, rng: DeterministicRng | None = None,
-        hashes: HashFamily | None = None,
+        self, size: int, hash_count: int = 4, rng: DeterministicRng | None = None
     ) -> None:
         require(size >= 2, "filter size must be >= 2")
         self.size = size
-        self.hashes = hashes or MixHashFamily(
-            hash_count, size, rng or DeterministicRng(0)
-        )
+        self.hashes = MixHashFamily(hash_count, size, rng or DeterministicRng(0))
         self._bits = bytearray(size)
         self.insertions = 0
 
@@ -48,10 +45,6 @@ class BloomFilter:
         if reseed:
             self.hashes.reseed()
 
-    def fill_ratio(self) -> float:
-        """Fraction of set bits (saturation indicator)."""
-        return sum(self._bits) / self.size
-
 
 class CountingBloomFilter:
     """Counting Bloom filter with saturating counters.
@@ -68,19 +61,15 @@ class CountingBloomFilter:
         hash_count: int = 4,
         counter_max: int = (1 << 12) - 1,
         rng: DeterministicRng | None = None,
-        hashes: HashFamily | None = None,
     ) -> None:
         require(size >= 2, "filter size must be >= 2")
         require(counter_max >= 1, "counter_max must be >= 1")
         self.size = size
         self.counter_max = counter_max
-        self.hashes = hashes or MixHashFamily(
-            hash_count, size, rng or DeterministicRng(0)
-        )
+        self.hashes = MixHashFamily(hash_count, size, rng or DeterministicRng(0))
         # A plain list outperforms a numpy array for the single-element
         # reads/writes this hot path performs.
         self._counters = [0] * size
-        self._saturated = 0
         self.insertions = 0
 
     def insert(self, key: int) -> int:
@@ -93,8 +82,6 @@ class CountingBloomFilter:
             if value < cap:
                 value += 1
                 counters[index] = value
-                if value == cap:
-                    self._saturated += 1
             if value < estimate:
                 estimate = value
         self.insertions += 1
@@ -108,16 +95,6 @@ class CountingBloomFilter:
     def clear(self, reseed: bool = True) -> None:
         """Zero all counters and (by default) re-randomize hash seeds."""
         self._counters = [0] * self.size
-        self._saturated = 0
         self.insertions = 0
         if reseed:
             self.hashes.reseed()
-
-    def saturated_fraction(self) -> float:
-        """Fraction of counters at ``counter_max``.
-
-        Tracked incrementally in :meth:`insert` (counters saturate and
-        never decrease between clears), so this is O(1) instead of a
-        full scan of the counter array.
-        """
-        return self._saturated / self.size

@@ -1,33 +1,33 @@
-"""Hash families for the Bloom filters.
+"""The hash family of the Bloom filters.
 
 The paper uses four H3-class hash functions [17] built from hardwired
 shifts and a seed XOR-mask; the seed is re-randomized whenever a filter
 is cleared so an aggressor row aliases with a different set of rows each
-epoch (Section 3.1.1).
-
-Two implementations are provided:
-
-* :class:`H3HashFamily` — the textbook Carter–Wegman H3: each function
-  XORs together random rows of a binary matrix selected by the set bits
-  of the key.  Exact, pairwise independent, and the hardware-faithful
-  reference.
-* :class:`MixHashFamily` — a SplitMix64 finalizer over ``key ^ seed_i``.
-  Statistically comparable for our purposes and several times faster in
-  Python; the simulator uses it by default.
-
-Both families honor ``reseed()`` to model the epoch-boundary seed swap.
+epoch (Section 3.1.1).  :class:`MixHashFamily` models them with a
+SplitMix64 finalizer over ``key ^ seed_i``: statistically comparable for
+our purposes and several times faster in Python than a bit-serial H3.
+``reseed()`` models the epoch-boundary seed swap.
 """
 
 from __future__ import annotations
 
-from repro.utils.rng import DeterministicRng, splitmix64
+from repro.utils.rng import DeterministicRng
 from repro.utils.validation import require
 
 _MASK64 = (1 << 64) - 1
 
 
-class HashFamily:
-    """k hash functions mapping integer keys into [0, size)."""
+class MixHashFamily:
+    """k 64-bit-mixer hash functions mapping integer keys into [0, size).
+
+    ``indices`` results are memoized per seed epoch: row keys repeat
+    heavily between reseeds (a hammered row is hashed on every ACT and
+    on every blacklist re-query), and the memo is invalidated wholesale
+    when :meth:`reseed` swaps the seeds at an epoch boundary.  The memo
+    is bounded by the number of distinct keys seen per epoch (at most
+    the rows touched per bank per epoch).  Callers must not mutate the
+    returned list.
+    """
 
     def __init__(self, k: int, size: int, rng: DeterministicRng) -> None:
         require(k >= 1, "need at least one hash function")
@@ -39,30 +39,11 @@ class HashFamily:
 
     def reseed(self) -> None:
         """Draw fresh per-function seeds (called on every filter clear)."""
-        raise NotImplementedError
-
-    def indices(self, key: int) -> list[int]:
-        """The k array indices for ``key``."""
-        raise NotImplementedError
-
-
-class MixHashFamily(HashFamily):
-    """Fast 64-bit-mixer hash family (default).
-
-    ``indices`` results are memoized per seed epoch: row keys repeat
-    heavily between reseeds (a hammered row is hashed on every ACT and
-    on every blacklist re-query), and the memo is invalidated wholesale
-    when :meth:`reseed` swaps the seeds at an epoch boundary.  The memo
-    is bounded by the number of distinct keys seen per epoch (at most
-    the rows touched per bank per epoch).  Callers must not mutate the
-    returned list.
-    """
-
-    def reseed(self) -> None:
         self._seeds = [self._rng.next_seed() for _ in range(self.k)]
         self._memo: dict[int, list[int]] = {}
 
     def indices(self, key: int) -> list[int]:
+        """The k array indices for ``key``."""
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -75,40 +56,4 @@ class MixHashFamily(HashFamily):
             z ^= z >> 31
             out.append(z % size)
         self._memo[key] = out
-        return out
-
-
-class H3HashFamily(HashFamily):
-    """Carter–Wegman H3: XOR of seed-matrix rows selected by key bits.
-
-    ``key_bits`` bounds the supported key width (row addresses fit in 17
-    bits for 64K-row banks; we default to 32 for generality).
-    """
-
-    def __init__(
-        self, k: int, size: int, rng: DeterministicRng, key_bits: int = 32
-    ) -> None:
-        require(key_bits >= 1, "key_bits must be >= 1")
-        self.key_bits = key_bits
-        super().__init__(k, size, rng)
-
-    def reseed(self) -> None:
-        self._matrices = []
-        for _ in range(self.k):
-            matrix = [self._rng.next_seed() % self.size for _ in range(self.key_bits)]
-            self._matrices.append(matrix)
-
-    def indices(self, key: int) -> list[int]:
-        require(0 <= key < (1 << self.key_bits), "key exceeds configured width")
-        out = []
-        for matrix in self._matrices:
-            h = 0
-            remaining = key
-            bit = 0
-            while remaining:
-                if remaining & 1:
-                    h ^= matrix[bit]
-                remaining >>= 1
-                bit += 1
-            out.append(h % self.size)
         return out

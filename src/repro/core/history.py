@@ -62,10 +62,6 @@ class ActivationHistoryBuffer:
         self._evict_expired(now)
         return self._last_seen.get(row)
 
-    def recently_activated(self, row: int, now: float) -> bool:
-        """CAM lookup: was ``row`` activated within the last tDelay?"""
-        return self.last_activation(row, now) is not None
-
     def allowed_at(self, row: int, now: float) -> float:
         """Earliest time an ACT to a *blacklisted* ``row`` may issue."""
         last = self.last_activation(row, now)

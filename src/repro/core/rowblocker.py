@@ -33,26 +33,9 @@ class DelayStats:
     false_positive_delays_ns: list[float] = field(default_factory=list)
 
     @property
-    def delayed_fraction(self) -> float:
-        return self.delayed_acts / self.total_acts if self.total_acts else 0.0
-
-    @property
     def false_positive_rate(self) -> float:
         """Mistakenly-delayed activations as a fraction of all ACTs."""
         return self.false_positive_acts / self.total_acts if self.total_acts else 0.0
-
-    @staticmethod
-    def _percentile(values: list[float], p: float) -> float:
-        if not values:
-            return 0.0
-        ordered = sorted(values)
-        index = min(len(ordered) - 1, int(p / 100.0 * len(ordered)))
-        return ordered[index]
-
-    def delay_percentile(self, p: float, false_positives_only: bool = False) -> float:
-        """P-th percentile of imposed delays, in nanoseconds."""
-        values = self.false_positive_delays_ns if false_positives_only else self.delays_ns
-        return self._percentile(values, p)
 
 
 class RowBlockerBL:

@@ -1,8 +1,7 @@
-"""CPU-side substrate: access traces, a set-associative LLC model, and a
-bounded-MLP core model (3.2 GHz, 4-wide, 128-entry window per Table 5)."""
+"""CPU-side substrate: post-LLC access traces and a bounded-MLP core
+model (3.2 GHz, 4-wide, 128-entry window per Table 5)."""
 
 from repro.cpu.trace import TraceRecord, Trace, ListTrace, CallableTrace
-from repro.cpu.cache import SetAssocCache, CacheStats
 from repro.cpu.core import Core, CoreParams
 
 __all__ = [
@@ -10,8 +9,6 @@ __all__ = [
     "Trace",
     "ListTrace",
     "CallableTrace",
-    "SetAssocCache",
-    "CacheStats",
     "Core",
     "CoreParams",
 ]

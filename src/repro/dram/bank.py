@@ -108,27 +108,14 @@ class Bank:
             return self.next_act
         raise ValueError(f"unsupported command kind {kind}")
 
-    def can_issue(self, kind: CommandKind, row: int, now: float) -> bool:
-        """Whether ``kind`` targeting ``row`` is legal at time ``now``."""
-        if now < self.earliest(kind):
-            return False
-        if kind is CommandKind.ACT:
-            return self.open_row is None
-        if kind is CommandKind.PRE:
-            return self.open_row is not None
-        if kind in (CommandKind.RD, CommandKind.WR):
-            return self.open_row == row
-        if kind in (CommandKind.REF, CommandKind.VREF):
-            return self.open_row is None
-        raise ValueError(f"unsupported command kind {kind}")
-
     # ------------------------------------------------------------------
     # State transitions.
     # ------------------------------------------------------------------
     def issue(self, kind: CommandKind, row: int, now: float) -> None:
         """Apply the timing effects of issuing ``kind`` at ``now``.
 
-        The caller is responsible for having checked :meth:`can_issue`.
+        The caller is responsible for the command being legal: the row
+        state allows it and ``now`` is at or past :meth:`earliest`.
         """
         if kind is CommandKind.RD:
             t = now + self._tCCD

@@ -125,13 +125,6 @@ class DramDevice:
             t = max(t, self._bus_free - self.spec.tCWL)
         return t
 
-    def can_issue(self, cmd: Command, now: float) -> bool:
-        """Whether ``cmd`` is legal exactly at ``now``."""
-        bank = self.bank(cmd.rank, cmd.bank)
-        if not bank.can_issue(cmd.kind, cmd.row, now):
-            return False
-        return self.earliest_issue(cmd, now) <= now
-
     # ------------------------------------------------------------------
     # Command commit.
     # ------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.dram.bank import Bank
-from repro.dram.commands import CommandKind
 from repro.dram.spec import DramSpec
 
 
@@ -60,12 +59,3 @@ class Rank:
     def all_banks_precharged(self) -> bool:
         """True when every bank has a closed row (needed for REF)."""
         return all(bank.open_row is None for bank in self.banks)
-
-    def earliest_all_precharged(self, now: float) -> float:
-        """Earliest time all banks could be precharged, assuming the
-        controller precharges each open bank as soon as allowed."""
-        t = now
-        for bank in self.banks:
-            if bank.open_row is not None:
-                t = max(t, bank.next_pre + self.spec.tRP)
-        return t

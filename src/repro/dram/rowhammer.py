@@ -15,7 +15,7 @@ The paper's worst-case characterization values are ``r_blast = 6`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.validation import require
 
@@ -135,7 +135,3 @@ class DisturbanceModel:
     def max_disturbance(self) -> float:
         """Largest accumulated disturbance across all rows (0 if none)."""
         return max(self._disturbance.values(), default=0.0)
-
-    def tracked_rows(self) -> int:
-        """Number of rows with nonzero accumulated disturbance."""
-        return len(self._disturbance)

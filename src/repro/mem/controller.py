@@ -187,14 +187,6 @@ class MemoryController:
     # ------------------------------------------------------------------
     # Request injection (called by cores / the System).
     # ------------------------------------------------------------------
-    def can_accept(self, request: Request) -> bool:
-        """Whether the request can enter the queues right now.
-
-        Enforces queue capacity plus the mitigation's in-flight quotas,
-        both per <thread, bank> and per thread (AttackThrottler).
-        """
-        return self._admission(request) is None
-
     def _admission(self, request: Request) -> str | None:
         """``None`` to accept, else the rejection reason: ``"queue"``
         (capacity backpressure) or ``"quota"`` (mitigation throttling —

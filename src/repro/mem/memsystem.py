@@ -123,9 +123,6 @@ class MemorySystem:
             return True
         return False
 
-    def can_accept(self, request: Request) -> bool:
-        return self.controllers[request.channel].can_accept(request)
-
     def busy(self) -> bool:
         """True while any channel has pending work."""
         return any(controller.busy() for controller in self.controllers)

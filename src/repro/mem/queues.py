@@ -120,11 +120,3 @@ class RequestQueue:
         hi = lo + (1 << BANK_KEY_BITS)
         for key in [k for k in self.bank_cache if lo <= k < hi]:
             del self.bank_cache[key]
-
-    def invalidate_all(self) -> None:
-        """Drop every cached bank decision."""
-        self.bank_cache.clear()
-
-    def requests_for_bank(self, rank: int, bank: int) -> list[Request]:
-        """Queued requests targeting (rank, bank), oldest first."""
-        return list(self.by_bank.get(bank_key(rank, bank), ()))

@@ -54,10 +54,6 @@ class RefreshManager:
         """True when rank ``rank`` has a REF due at or before ``now``."""
         return now >= self.next_due[rank]
 
-    def earliest_due(self) -> float:
-        """The soonest REF deadline across ranks."""
-        return self.earliest
-
     def on_ref_issued(self, rank: int, now: float) -> None:
         """Advance the deadline after a REF issues.
 

@@ -81,10 +81,6 @@ class EpochModel:
             return int(self.tep / cfg.t_delay_ns)
         raise ValueError(f"unknown epoch type {epoch_type}")
 
-    def all_bounds(self) -> dict[EpochType, int]:
-        """Nepmax for every type (the Table 2 column)."""
-        return {t: self.nepmax(t) for t in EpochType}
-
     def epochs_per_refresh_window(self) -> int:
         """How many full epochs fit in one tREFW."""
         return int(self.config.t_refw_ns / self.tep)

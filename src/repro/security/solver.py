@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import linprog
 
 from repro.core.config import BlockHammerConfig
@@ -56,11 +55,6 @@ class SecurityProof:
         if self.enumeration_max_activations is not None:
             bound = max(bound, float(self.enumeration_max_activations))
         return bound <= self.nrh_star
-
-    @property
-    def safety_margin(self) -> float:
-        """NRH* minus the best achievable activation count."""
-        return self.nrh_star - max(self.lp_max_activations, self.fast_delayed_max)
 
 
 def fast_delayed_bound(config: BlockHammerConfig) -> float:

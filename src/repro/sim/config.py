@@ -37,9 +37,6 @@ class SystemConfig:
     #: The row-map kind the mitigation assumes when it looks up victims.
     #: ``None`` hands it the device's true mapping (vendor knowledge).
     assumed_rowmap_kind: str | None = None
-    use_llc: bool = False
-    llc_bytes: int = 16 * 1024 * 1024
-    llc_ways: int = 8
     seed: int = 1
 
     def __post_init__(self) -> None:

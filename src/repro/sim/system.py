@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.cpu.cache import SetAssocCache
 from repro.cpu.core import Core
 from repro.cpu.trace import Trace
 from repro.dram.address import AddressMapping
@@ -111,16 +110,11 @@ class System:
 
         self.cores: list[Core] = []
         for thread_id, trace in enumerate(traces):
-            llc = (
-                SetAssocCache(config.llc_bytes, config.llc_ways, spec.line_bytes)
-                if config.use_llc
-                else None
-            )
             params = config.core
             if core_params_per_thread is not None and core_params_per_thread[thread_id]:
                 params = core_params_per_thread[thread_id]
             self.cores.append(
-                Core(thread_id, trace, self.memsys, self.mapping, params, llc)
+                Core(thread_id, trace, self.memsys, self.mapping, params)
             )
 
         self._events = EventQueue()

@@ -1,6 +1,6 @@
 """Shared utilities: time units, deterministic RNG, validation helpers."""
 
-from repro.utils.units import NS, US, MS, SEC, ns_to_us, ns_to_ms
+from repro.utils.units import NS, US, MS, SEC
 from repro.utils.rng import DeterministicRng, splitmix64
 from repro.utils.validation import ConfigError, require
 
@@ -9,8 +9,6 @@ __all__ = [
     "US",
     "MS",
     "SEC",
-    "ns_to_us",
-    "ns_to_ms",
     "DeterministicRng",
     "splitmix64",
     "ConfigError",

@@ -20,8 +20,9 @@ def splitmix64(state: int) -> tuple[int, int]:
     """Advance a SplitMix64 state and return ``(new_state, output)``.
 
     SplitMix64 is a tiny, statistically solid 64-bit mixer.  We use it to
-    derive independent hash seeds (e.g. for H3 hash functions) from a
-    single experiment seed without correlation between consecutive seeds.
+    derive independent seeds (e.g. for the Bloom filters' hash functions)
+    from a single experiment seed without correlation between consecutive
+    seeds.
     """
     state = (state + _SPLITMIX_GAMMA) & _MASK64
     z = state
@@ -69,10 +70,6 @@ class DeterministicRng:
     def choice(self, items):
         """Return a uniformly random element of ``items``."""
         return self._random.choice(items)
-
-    def shuffle(self, items) -> None:
-        """Shuffle ``items`` in place."""
-        self._random.shuffle(items)
 
     def geometric(self, mean: float) -> int:
         """Sample a geometric-ish gap with the given mean (>= 0).

@@ -10,13 +10,3 @@ NS = 1.0
 US = 1_000.0 * NS
 MS = 1_000.0 * US
 SEC = 1_000.0 * MS
-
-
-def ns_to_us(t_ns: float) -> float:
-    """Convert nanoseconds to microseconds."""
-    return t_ns / US
-
-
-def ns_to_ms(t_ns: float) -> float:
-    """Convert nanoseconds to milliseconds."""
-    return t_ns / MS

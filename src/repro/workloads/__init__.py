@@ -7,7 +7,6 @@ from repro.workloads.profiles import (
     Category,
     TABLE8_PROFILES,
     profile_by_name,
-    profiles_in_category,
 )
 from repro.workloads.generator import ProfileTrace, build_benign_trace
 from repro.workloads.attacks import (
@@ -23,7 +22,6 @@ __all__ = [
     "Category",
     "TABLE8_PROFILES",
     "profile_by_name",
-    "profiles_in_category",
     "ProfileTrace",
     "build_benign_trace",
     "build_attack_trace",

@@ -154,8 +154,3 @@ def profile_by_name(name: str) -> WorkloadProfile:
         if profile.name == name:
             return profile
     raise ConfigError(f"unknown workload profile: {name!r}")
-
-
-def profiles_in_category(category: Category) -> list[WorkloadProfile]:
-    """All profiles in one of the L/M/H groups."""
-    return [p for p in TABLE8_PROFILES if p.category is category]

@@ -1,14 +1,14 @@
-"""Unit tests for the hash families."""
+"""Unit tests for the Bloom filters' hash family."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.hashing import H3HashFamily, MixHashFamily
+from repro.core.hashing import MixHashFamily
 from repro.utils.rng import DeterministicRng
 from repro.utils.validation import ConfigError
 
 
-@pytest.fixture(params=[MixHashFamily, H3HashFamily])
+@pytest.fixture(params=[MixHashFamily])
 def family(request):
     return request.param(k=4, size=1024, rng=DeterministicRng(5))
 
@@ -42,22 +42,6 @@ def test_distribution_roughly_uniform(family):
     # 16000 insertions over 1024 buckets: mean ~15.6; no bucket should
     # be pathologically hot.
     assert max(counts) < 60
-
-
-def test_h3_is_linear_over_xor():
-    family = H3HashFamily(k=1, size=1 << 16, rng=DeterministicRng(1), key_bits=16)
-    # H3 over GF(2): h(a ^ b) == h(a) ^ h(b) when size is a power of two.
-    a, b = 0x1234, 0x0F0F
-    ha = family.indices(a)[0]
-    hb = family.indices(b)[0]
-    hab = family.indices(a ^ b)[0]
-    assert hab == ha ^ hb
-
-
-def test_h3_rejects_wide_keys():
-    family = H3HashFamily(k=1, size=64, rng=DeterministicRng(1), key_bits=8)
-    with pytest.raises(ConfigError):
-        family.indices(256)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 32) - 1))

@@ -16,14 +16,14 @@ def test_capacity_from_tfaw_sizing():
 def test_recent_activation_found():
     hb = ActivationHistoryBuffer(t_delay_ns=100.0, t_faw_ns=35.0)
     hb.record(5, now=10.0)
-    assert hb.recently_activated(5, now=50.0)
+    assert hb.last_activation(5, now=50.0) is not None
     assert hb.last_activation(5, now=50.0) == 10.0
 
 
 def test_expiry_after_tdelay():
     hb = ActivationHistoryBuffer(t_delay_ns=100.0, t_faw_ns=35.0)
     hb.record(5, now=10.0)
-    assert not hb.recently_activated(5, now=110.1)
+    assert hb.last_activation(5, now=110.1) is None
     assert len(hb) == 0
 
 
@@ -39,7 +39,7 @@ def test_reactivation_refreshes_window():
     hb = ActivationHistoryBuffer(t_delay_ns=100.0, t_faw_ns=35.0)
     hb.record(5, now=0.0)
     hb.record(5, now=80.0)
-    assert hb.recently_activated(5, now=150.0)
+    assert hb.last_activation(5, now=150.0) is not None
     assert hb.allowed_at(5, now=150.0) == pytest.approx(180.0)
 
 
@@ -49,8 +49,8 @@ def test_overflow_evicts_oldest():
     for row in range(6):
         hb.record(row, now=1.0)
     assert hb.overflows == 2
-    assert not hb.recently_activated(0, now=1.0)
-    assert hb.recently_activated(5, now=1.0)
+    assert hb.last_activation(0, now=1.0) is None
+    assert hb.last_activation(5, now=1.0) is not None
 
 
 @given(
@@ -72,6 +72,6 @@ def test_no_stale_positive(events):
         hb.record(row, time)
     now = (events[-1][1] if events else 0.0) + 25.0
     for row in range(31):
-        if hb.recently_activated(row, now):
+        if hb.last_activation(row, now) is not None:
             in_window = [t for r, t in events if r == row and t > now - 50.0]
             assert in_window

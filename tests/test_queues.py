@@ -41,17 +41,6 @@ def test_remove_and_len():
     assert not queue.empty
 
 
-def test_requests_for_bank_filters():
-    queue = RequestQueue(8)
-    a = make_request(bank=0)
-    b = make_request(bank=1)
-    c = make_request(bank=0)
-    for r in (a, b, c):
-        queue.push(r)
-    assert queue.requests_for_bank(0, 0) == [a, c]
-    assert queue.requests_for_bank(0, 1) == [b]
-
-
 def test_request_denormalized_fields():
     r = make_request(thread=3, bank=5, row=77, write=True)
     assert r.is_write

@@ -42,10 +42,3 @@ def test_all_banks_precharged(rank):
     assert not rank.all_banks_precharged()
     rank.banks[2].issue(CommandKind.PRE, 5, now=DDR4_2400.tRAS)
     assert rank.all_banks_precharged()
-
-
-def test_earliest_all_precharged_accounts_for_open_banks(rank):
-    s = DDR4_2400
-    rank.banks[0].issue(CommandKind.ACT, 5, now=0.0)
-    t = rank.earliest_all_precharged(1.0)
-    assert t >= s.tRAS + s.tRP

@@ -45,4 +45,4 @@ def test_multi_rank_deadlines_staggered():
     spec = replace(DDR4_2400, ranks=2)
     manager = RefreshManager(spec)
     assert manager.next_due[0] != manager.next_due[1]
-    assert manager.earliest_due() == min(manager.next_due)
+    assert manager.earliest == min(manager.next_due)

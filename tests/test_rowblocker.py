@@ -125,13 +125,3 @@ def test_true_positive_not_counted_as_false_positive():
     rb.on_activate(0, 0, 5, blocked_at)
     assert rb.stats.false_positive_acts == 0
     assert rb.stats.false_positive_rate == 0.0
-
-
-def test_delay_percentiles():
-    from repro.core.rowblocker import DelayStats
-
-    stats = DelayStats()
-    stats.delays_ns.extend(float(i) for i in range(1, 101))
-    assert stats.delay_percentile(50) == pytest.approx(51.0)
-    assert stats.delay_percentile(100) == 100.0
-    assert stats.delay_percentile(50, false_positives_only=True) == 0.0

@@ -110,7 +110,9 @@ def test_edge_rows_clip():
     model.on_activate(0, now=0.0)
     assert model.disturbance_of(1) == 1.0
     assert model.disturbance_of(2) == 0.5
-    assert model.tracked_rows() == 2
+    # Rows below 0 do not exist: no disturbance is recorded for them.
+    assert model.disturbance_of(-1) == 0.0
+    assert model.disturbance_of(-2) == 0.0
 
 
 def test_max_disturbance():

@@ -36,7 +36,7 @@ def small_config():
 # ----------------------------------------------------------------------
 def test_epoch_bounds_table1(table1_config):
     model = EpochModel(table1_config)
-    bounds = model.all_bounds()
+    bounds = {t: model.nepmax(t) for t in EpochType}
     assert bounds[EpochType.T0] == table1_config.nbl - 1
     assert bounds[EpochType.T1] == table1_config.nbl - 1
     # T2: NBL burst + tDelay-spaced remainder.

@@ -100,14 +100,6 @@ def test_rbcpki_mpki_derived(small_spec):
     assert 0 <= thread.rbcpki <= thread.mpki
 
 
-def test_llc_configuration(small_spec):
-    config = SystemConfig(spec=small_spec, use_llc=True, llc_bytes=64 * 1024)
-    system = System(config, [ListTrace(make_records(rows=4))])
-    result = system.run(instructions_per_thread=20_000)
-    # A tiny working set fits in the LLC: far fewer memory accesses.
-    assert result.threads[0].mem.accesses < 200
-
-
 def test_invalid_rowmap_kind(small_spec):
     with pytest.raises(ConfigError):
         SystemConfig(spec=small_spec, rowmap_kind="bogus").build_rowmap()

@@ -1,17 +1,12 @@
 """Unit tests for time-unit helpers."""
 
-from repro.utils.units import MS, NS, SEC, US, ns_to_ms, ns_to_us
+from repro.utils.units import MS, NS, SEC, US
 
 
 def test_unit_ratios():
     assert US == 1000 * NS
     assert MS == 1000 * US
     assert SEC == 1000 * MS
-
-
-def test_conversions():
-    assert ns_to_us(2500.0) == 2.5
-    assert ns_to_ms(64_000_000.0) == 64.0
 
 
 def test_refresh_window_is_exact_in_float():
