@@ -17,14 +17,9 @@ Quickstart::
     assert outcome.bitflips == 0
 
 See README.md for the architecture overview and the per-figure
-commands, and PAPER.md for the paper's abstract.
-
-The Section 5 proof (``prove_safety``, ``simulate_optimal_attack``)
-needs scipy, so :mod:`repro.security` loads on first use of either name
-rather than with the package: a simulation never pays for it.
+commands, and PAPER.md for the paper's abstract.  The package,
+including the Section 5 proof, needs only the standard library.
 """
-
-import importlib
 
 from repro.core import (
     AttackThrottler,
@@ -48,6 +43,7 @@ from repro.harness import HarnessConfig, Runner, experiments, format_table
 from repro.hwcost import mechanism_cost, table4_rows
 from repro.metrics import compute_metrics
 from repro.mitigations import available_mitigations, build_mitigation
+from repro.security import prove_safety, simulate_optimal_attack
 from repro.sim import SimResult, System, SystemConfig
 from repro.workloads import (
     TABLE8_PROFILES,
@@ -59,15 +55,6 @@ from repro.workloads import (
 )
 
 __version__ = "1.0.0"
-
-#: Names served from :mod:`repro.security` on first access (PEP 562).
-_SECURITY_NAMES = ("prove_safety", "simulate_optimal_attack")
-
-
-def __getattr__(name: str):
-    if name in _SECURITY_NAMES:
-        return getattr(importlib.import_module("repro.security"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro.dram.rowhammer import impact_sum
 from repro.dram.spec import DramSpec
 from repro.utils.units import MS
 from repro.utils.validation import require
@@ -65,14 +66,9 @@ class BlockHammerConfig:
     # Eq. 3: many-sided effective threshold.
     # ------------------------------------------------------------------
     @cached_property
-    def impact_sum(self) -> float:
-        """Σ c_k over the blast radius (one side of the victim)."""
-        return sum(self.blast_decay ** (k - 1) for k in range(1, self.blast_radius + 1))
-
-    @cached_property
     def nrh_star(self) -> float:
         """Effective per-row threshold after the many-sided correction."""
-        return self.nrh / (2.0 * self.impact_sum)
+        return self.nrh / (2.0 * impact_sum(self.blast_radius, self.blast_decay))
 
     # ------------------------------------------------------------------
     # Eq. 1: blacklisted-row delay.

@@ -20,6 +20,12 @@ from dataclasses import dataclass
 from repro.utils.validation import require
 
 
+def impact_sum(blast_radius: int, decay: float) -> float:
+    """Eq. 3's sum of c_k = decay**(k-1) over the blast radius (one side
+    of the victim): NRH* = NRH / (2 * impact_sum)."""
+    return sum(decay ** (k - 1) for k in range(1, blast_radius + 1))
+
+
 @dataclass(frozen=True)
 class DisturbanceProfile:
     """Physical RowHammer characteristics of a DRAM chip."""
@@ -38,10 +44,6 @@ class DisturbanceProfile:
         if distance < 1 or distance > self.blast_radius:
             return 0.0
         return self.decay ** (distance - 1)
-
-    def impact_sum(self) -> float:
-        """Sum of c_k over the blast radius (one side)."""
-        return sum(self.impact(k) for k in range(1, self.blast_radius + 1))
 
     @classmethod
     def paper_worst_case(cls, nrh: int = 32768) -> "DisturbanceProfile":

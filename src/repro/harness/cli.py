@@ -36,6 +36,7 @@ from repro.harness.runner import HarnessConfig
 from repro.hwcost.mechanisms import table4_rows
 from repro.obs.profile import format_profile_breakdown, write_report_json
 from repro.mitigations.registry import available_mitigations
+from repro.security.solver import prove_safety
 
 
 def _hcfg(args) -> HarnessConfig:
@@ -76,9 +77,6 @@ def cmd_table1(args, execution) -> str:
 
 
 def cmd_security(args, execution) -> str:
-    # Imported here: the solver loads scipy, which no other command needs.
-    from repro.security.solver import prove_safety
-
     rows = []
     for nrh in (32768, 16384, 8192, 4096, 2048, 1024):
         proof = prove_safety(BlockHammerConfig.for_nrh(nrh))

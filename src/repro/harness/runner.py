@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from repro.cpu.core import CoreParams
 from repro.dram.address import AddressMapping
-from repro.dram.rowhammer import DisturbanceProfile
+from repro.dram.rowhammer import DisturbanceProfile, impact_sum
 from repro.dram.rowmap import check_rowmap_kind
 from repro.dram.spec import DDR4_2400, DramSpec, scaled_threshold
 from repro.energy.drampower import EnergyBreakdown, EnergyModel
@@ -98,10 +98,7 @@ class HarnessConfig:
     @property
     def paper_nrh_effective(self) -> float:
         """Paper-scale NRH after the many-sided correction (Eq. 3)."""
-        impact_sum = sum(
-            self.blast_decay ** (k - 1) for k in range(1, self.blast_radius + 1)
-        )
-        return self.paper_nrh / (2.0 * impact_sum)
+        return self.paper_nrh / (2.0 * impact_sum(self.blast_radius, self.blast_decay))
 
     def mechanism_kwargs(self, name: str) -> dict:
         """Per-mechanism construction arguments for this configuration.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.dram.rowhammer import impact_sum
 from repro.mitigations.base import MitigationContext
 
 
@@ -12,7 +13,4 @@ def effective_nrh(context: MitigationContext) -> float:
     for the attack model implied by the chip's blast radius and impact
     factors (double-sided attacks — blast radius 1 — halve NRH).
     """
-    impact_sum = sum(
-        context.blast_decay ** (k - 1) for k in range(1, context.blast_radius + 1)
-    )
-    return context.nrh / (2.0 * impact_sum)
+    return context.nrh / (2.0 * impact_sum(context.blast_radius, context.blast_decay))

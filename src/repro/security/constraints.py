@@ -8,14 +8,7 @@ type ``T_i`` inside one refresh window, a *successful* attack needs:
    the window:  ``sum(n_i * Nepmax_i) >= NRH*`` and
    ``sum(n_i) <= floor(tREFW / tep)``;
 2. sequence validity: a type can only appear after one of its allowed
-   predecessors, which collapses (Table 3) to ``n2 <= n3 + s`` and
-   ``n3 <= n2 + s``.  The paper's constraints are the equalities
-   (``s = 0``, the default); a slack accommodates sequence-edge effects
-   but also admits epoch-count vectors that the inter-epoch NBL*
-   coupling (which this independent-epoch model drops) makes physically
-   unrealizable, so nonzero slack is for sensitivity analysis only —
-   the adversarial simulation (``repro.security.adversary``) provides
-   the coupling-faithful empirical check;
+   predecessors, which collapses (Table 3) to ``n2 == n3``;
 3. non-negativity: ``n_i >= 0``.
 """
 
@@ -23,56 +16,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import BlockHammerConfig
 from repro.security.epochs import EpochModel, EpochType
 
 
 @dataclass(frozen=True)
 class AttackConstraints:
-    """Linear-program form of Table 3 for one configuration.
-
-    Maximize ``c . n`` subject to ``A_ub @ n <= b_ub`` and ``n >= 0``,
-    where ``c[i] = Nepmax(T_i)``.
-    """
+    """Table 3 for one configuration: maximize ``sum(n_i * nepmax[i])``
+    over epoch-count vectors ``n`` that meet constraints (2) and (3)."""
 
     nepmax: tuple[int, ...]
     max_epochs: int
-    ordering_slack: int
     target: float  # NRH*: the count a successful attack must reach
 
     @classmethod
-    def for_config(
-        cls, config: BlockHammerConfig, ordering_slack: int = 0
-    ) -> "AttackConstraints":
+    def for_config(cls, config: BlockHammerConfig) -> "AttackConstraints":
         model = EpochModel(config)
         return cls(
             nepmax=tuple(model.nepmax(t) for t in EpochType),
             max_epochs=model.epochs_per_refresh_window(),
-            ordering_slack=ordering_slack,
             target=config.nrh_star,
         )
-
-    def objective(self) -> np.ndarray:
-        """Coefficients of the activation-count objective."""
-        return np.array(self.nepmax, dtype=float)
-
-    def inequality_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A_ub, b_ub) for ``A_ub @ n <= b_ub``."""
-        # n indices: [n0, n1, n2, n3, n4]
-        a_ub = np.array(
-            [
-                [1, 1, 1, 1, 1],  # total epochs fit in the window
-                [0, 0, 1, -1, 0],  # n2 <= n3 + slack
-                [0, 0, -1, 1, 0],  # n3 <= n2 + slack
-            ],
-            dtype=float,
-        )
-        b_ub = np.array(
-            [self.max_epochs, self.ordering_slack, self.ordering_slack], dtype=float
-        )
-        return a_ub, b_ub
 
     def satisfied_by(self, counts: tuple[int, int, int, int, int]) -> bool:
         """Whether an epoch-count vector meets constraints (2) and (3)."""
@@ -80,8 +44,7 @@ class AttackConstraints:
             return False
         if sum(counts) > self.max_epochs:
             return False
-        n2, n3 = counts[2], counts[3]
-        return abs(n2 - n3) <= self.ordering_slack
+        return counts[2] == counts[3]
 
     def activations(self, counts: tuple[int, int, int, int, int]) -> int:
         """Total activations achieved by an epoch-count vector."""

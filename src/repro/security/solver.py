@@ -3,9 +3,10 @@
 The paper uses an analytical solver [154] to show no epoch-count vector
 satisfies all constraints of Table 3.  We do the same two ways:
 
-* **LP relaxation** (scipy ``linprog``): maximize total activations over
-  real-valued epoch counts.  The LP optimum upper-bounds every integer
-  attack, so ``lp_max < NRH*`` proves no attack exists.
+* **LP relaxation**, solved exactly in closed form: maximize total
+  activations over real-valued epoch counts.  The LP optimum
+  upper-bounds every integer attack, so ``lp_max < NRH*`` proves no
+  attack exists.
 * **Exhaustive integer enumeration**: for the small epoch budgets real
   configurations produce (tREFW / (tCBF/2) epochs), enumerate every
   valid integer vector and confirm the bound — a cross-check of the LP
@@ -15,12 +16,15 @@ satisfies all constraints of Table 3.  We do the same two ways:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-
-from scipy.optimize import linprog
 
 from repro.core.config import BlockHammerConfig
 from repro.security.constraints import AttackConstraints
+
+#: Largest epoch budget the exhaustive search covers; larger budgets rely
+#: on the LP bound alone, which is already sufficient.
+ENUMERATION_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,6 @@ def fast_delayed_bound(config: BlockHammerConfig) -> float:
     ``NBL * ceil(E/2)`` in a window of E epochs — and delayed
     activations fill the remaining time at one per tDelay.
     """
-    import math
-
     epochs = max(1, int(config.t_refw_ns / config.epoch_ns))
     fast = config.nbl * math.ceil(epochs / 2)
     fast_time = fast * config.t_rc_ns
@@ -76,20 +78,26 @@ def fast_delayed_bound(config: BlockHammerConfig) -> float:
     return fast + delayed
 
 
-def _solve_lp(constraints: AttackConstraints) -> float:
-    c = -constraints.objective()  # linprog minimizes
-    a_ub, b_ub = constraints.inequality_matrix()
-    result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * 5, method="highs")
-    if not result.success:  # pragma: no cover - defensive
-        raise RuntimeError(f"LP solve failed: {result.message}")
-    return -result.fun
+def lp_max_activations(constraints: AttackConstraints) -> float:
+    """Exact optimum of Table 3's LP relaxation.
+
+    T0, T1 and T4 epochs are unconstrained and interchangeable, while T2
+    and T3 epochs come in equal numbers, so the optimum spends all E
+    epochs on the best of ``nepmax[0]``, ``nepmax[1]``, ``nepmax[4]``
+    per epoch or ``(nepmax[2] + nepmax[3]) / 2`` per epoch (a T2/T3
+    pair).  Computed from integers, so the result, halves included, is
+    an exact float.
+    """
+    c0, c1, c2, c3, c4 = constraints.nepmax
+    epochs = constraints.max_epochs
+    return max(2 * epochs * max(c0, c1, c4), epochs * (c2 + c3)) / 2
 
 
 def _enumerate(
-    constraints: AttackConstraints, limit: int
+    constraints: AttackConstraints,
 ) -> tuple[int, tuple[int, int, int, int, int]] | None:
     """Exhaustive search over integer epoch-count vectors."""
-    if constraints.max_epochs > limit:
+    if constraints.max_epochs > ENUMERATION_LIMIT:
         return None
     best = (-1, (0, 0, 0, 0, 0))
     budget = constraints.max_epochs
@@ -103,31 +111,20 @@ def _enumerate(
         total = constraints.activations(counts)
         if total > best[0]:
             best = (total, counts)
-    if best[0] < 0:
-        return 0, (0, 0, 0, 0, 0)
     return best
 
 
-def prove_safety(
-    config: BlockHammerConfig,
-    ordering_slack: int = 0,
-    enumeration_limit: int = 12,
-) -> SecurityProof:
-    """Run the full Section 5 analysis for a configuration.
-
-    ``enumeration_limit`` bounds the exhaustive search (epoch budgets
-    beyond it rely on the LP bound alone, which is already sufficient).
-    """
-    constraints = AttackConstraints.for_config(config, ordering_slack)
-    lp_max = _solve_lp(constraints)
-    enumerated = _enumerate(constraints, enumeration_limit)
+def prove_safety(config: BlockHammerConfig) -> SecurityProof:
+    """Run the full Section 5 analysis for a configuration."""
+    constraints = AttackConstraints.for_config(config)
+    enumerated = _enumerate(constraints)
     if enumerated is None:
         enum_max, best_counts = None, None
     else:
         enum_max, best_counts = enumerated
     return SecurityProof(
         nrh_star=config.nrh_star,
-        lp_max_activations=lp_max,
+        lp_max_activations=lp_max_activations(constraints),
         enumeration_max_activations=enum_max,
         best_counts=best_counts,
         max_epochs=constraints.max_epochs,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dram.rowhammer import DisturbanceModel, DisturbanceProfile
+from repro.dram.rowhammer import DisturbanceModel, DisturbanceProfile, impact_sum
 from repro.utils.validation import ConfigError
 
 
@@ -18,14 +18,14 @@ def test_impact_factors():
     assert profile.impact(3) == 0.25
     assert profile.impact(4) == 0.0
     assert profile.impact(0) == 0.0
-    assert profile.impact_sum() == pytest.approx(1.75)
+    assert impact_sum(profile.blast_radius, profile.decay) == pytest.approx(1.75)
 
 
 def test_paper_worst_case_profile():
     profile = DisturbanceProfile.paper_worst_case()
     assert profile.blast_radius == 6
     # Eq. 3 denominator: NRH* = 0.2539 NRH for this profile.
-    nrh_star_ratio = 1.0 / (2.0 * profile.impact_sum())
+    nrh_star_ratio = 1.0 / (2.0 * impact_sum(profile.blast_radius, profile.decay))
     assert nrh_star_ratio == pytest.approx(0.2539, abs=1e-3)
 
 
