@@ -34,6 +34,7 @@ import dataclasses
 import json
 import pathlib
 
+from repro.dram.spec import DDR4_2400
 from repro.harness.runner import HarnessConfig, Runner
 from repro.workloads.mixes import attack_mixes, benign_mixes
 
@@ -103,7 +104,7 @@ def main() -> None:
 
     runs = {}
     for channels in (2, 4):
-        hcfg = HarnessConfig(num_channels=channels, **CONFIG)
+        hcfg = HarnessConfig(base_spec=DDR4_2400.with_channels(channels), **CONFIG)
         runner = Runner(hcfg)
         attack = runner.run_mix(attack_mixes(1)[0], "blockhammer")
         benign = runner.run_mix(benign_mixes(1)[0], "graphene")

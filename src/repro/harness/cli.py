@@ -20,6 +20,7 @@ import argparse
 import sys
 
 from repro.core.config import BlockHammerConfig
+from repro.dram.spec import DDR4_2400
 from repro.harness import experiments
 from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.harness.parallel import SweepReport
@@ -39,11 +40,12 @@ from repro.mitigations.registry import available_mitigations
 from repro.security.solver import prove_safety
 
 
-def _hcfg(args) -> HarnessConfig:
+def _hcfg(args, default_channels: int = 1) -> HarnessConfig:
+    channels = default_channels if args.channels is None else args.channels
     return HarnessConfig(
         scale=args.scale,
         paper_nrh=args.nrh,
-        num_channels=args.channels,
+        base_spec=DDR4_2400.with_channels(channels),
         instructions_per_thread=args.instructions,
         warmup_ns=args.warmup_us * 1000.0,
     )
@@ -196,13 +198,9 @@ def cmd_ossweep(args, execution) -> str:
     """OS governor policy comparison: {no-governor, kill, quota,
     migrate} × mechanisms over attack mixes, with benign slowdown
     (vs the ungoverned run) and attacker RHLI per policy."""
-    import dataclasses
-
-    hcfg = _hcfg(args)
-    if args.channels is None:
-        # Channel migration needs somewhere to migrate *to*: default to
-        # two channels unless the user pinned a count explicitly.
-        hcfg = dataclasses.replace(hcfg, num_channels=2)
+    # Channel migration needs somewhere to migrate *to*: default to two
+    # channels unless the user pinned a count explicitly.
+    hcfg = _hcfg(args, default_channels=2)
     rows = experiments.os_policy_sweep(
         hcfg,
         num_mixes=args.mixes,
@@ -307,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--channels",
-        type=int,
+        type=_positive_int,
         default=None,
         help="memory channels, one controller + mitigation instance each "
-        "(default: the spec's channel count)",
+        "(default: 1; ossweep: 2)",
     )
     parser.add_argument(
         "--channel-sweep",

@@ -397,7 +397,7 @@ def assemble_attribution_rows(
                 blocked = [m.blocked_injections for m in mech_stats]
                 rows.append(
                     {
-                        "channels": hcfg.channels,
+                        "channels": hcfg.base_spec.channels,
                         "layout": layout,
                         "scenario": scenario,
                         "mix": mix.name,
@@ -439,6 +439,11 @@ def assemble_attribution_rows(
     return rows
 
 
+def _with_channels(hcfg: HarnessConfig, channels: int) -> HarnessConfig:
+    """``hcfg`` at one channel-count sweep point."""
+    return dataclass_replace(hcfg, base_spec=hcfg.base_spec.with_channels(channels))
+
+
 def _point_layouts(channels: int, layouts: list) -> list:
     """Layouts actually simulated at one channel-count point: pinned
     mixes degenerate record-for-record to the interleaved traces on a
@@ -457,11 +462,11 @@ def channel_scaling_jobs(
     point.  Each job carries its per-point configuration, so the
     batch dedups anything shared in-process and the persistent result
     cache dedups across runs: re-running the sweep is fully warm, and a
-    ``--channels 1`` fig5 sweep already on disk serves every job of this
-    driver's single-channel point."""
+    one-channel fig5 sweep of the same configuration already on disk
+    serves every job of this driver's single-channel point."""
     jobs: list[SimJob] = []
     for channels in channel_counts:
-        point = dataclass_replace(hcfg, num_channels=channels)
+        point = _with_channels(hcfg, channels)
         for _, benign, attack in _point_layouts(channels, layouts):
             jobs += mix_sweep_jobs(point, benign, mechanisms)
             jobs += mix_sweep_jobs(point, attack, mechanisms)
@@ -515,7 +520,7 @@ def channel_scaling(
     attribution: list[dict] = []
     mix_rows: list[dict] = []
     for channels in channel_counts:
-        point = dataclass_replace(hcfg, num_channels=channels)
+        point = _with_channels(hcfg, channels)
         for layout, layout_benign, layout_attack in _point_layouts(channels, layouts):
             rows = assemble_mix_rows(point, layout_benign, mechanisms, "no-attack", results)
             rows += assemble_mix_rows(point, layout_attack, mechanisms, "attack", results)

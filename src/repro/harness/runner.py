@@ -49,13 +49,10 @@ class HarnessConfig:
 
     scale: float = 128.0
     paper_nrh: int = 32768
+    #: ``base_spec.channels`` is the memory channel count (one
+    #: controller + device shard + mitigation instance per channel;
+    #: requests interleave across channels at MOP-run granularity).
     base_spec: DramSpec = DDR4_2400
-    #: Memory channels (one controller + device shard + mitigation
-    #: instance per channel; requests interleave across channels at
-    #: MOP-run granularity).  ``None`` defers to ``base_spec.channels``
-    #: (matching ``SystemConfig.num_channels`` semantics); an explicit
-    #: value overrides the spec.
-    num_channels: int | None = None
     instructions_per_thread: int = 120_000
     rowmap_kind: str = "linear"
     #: The row-map kind mitigations assume (``SystemConfig`` semantics:
@@ -73,10 +70,6 @@ class HarnessConfig:
     def __post_init__(self) -> None:
         require(self.scale >= 1, "scale must be >= 1")
         require(self.paper_nrh >= 1, "paper_nrh must be >= 1")
-        require(
-            self.num_channels is None or self.num_channels >= 1,
-            "num_channels must be None or >= 1",
-        )
         require(
             self.instructions_per_thread >= 1, "instructions_per_thread must be >= 1"
         )
@@ -126,20 +119,8 @@ class HarnessConfig:
             return {"levels": 6 + extra, "counter_budget": 125 + 16 * extra}
         return {}
 
-    @property
-    def channels(self) -> int:
-        """Effective channel count (explicit override, else the spec's)."""
-        return (
-            self.num_channels
-            if self.num_channels is not None
-            else self.base_spec.channels
-        )
-
     def spec(self) -> DramSpec:
-        spec = self.base_spec.scaled(self.scale)
-        if self.channels != spec.channels:
-            spec = spec.with_channels(self.channels)
-        return spec
+        return self.base_spec.scaled(self.scale)
 
     def with_nrh(self, paper_nrh: int) -> "HarnessConfig":
         return replace(self, paper_nrh=paper_nrh)
@@ -152,7 +133,6 @@ class HarnessConfig:
     def system_config(self) -> SystemConfig:
         return SystemConfig(
             spec=self.spec(),
-            num_channels=self.channels,
             disturbance=self.disturbance(),
             rowmap_kind=self.rowmap_kind,
             assumed_rowmap_kind=self.assumed_rowmap_kind,

@@ -36,7 +36,7 @@ from repro.mitigations.base import (
 from repro.sim.stats import ChannelResult
 from repro.utils.aggregate import merge_fields
 from repro.utils.rng import DeterministicRng
-from repro.utils.validation import require
+from repro.utils.validation import ConfigError
 
 #: Builds one fresh mitigation instance per call (one per channel).
 MitigationFactory = Callable[[], MitigationMechanism]
@@ -53,9 +53,8 @@ class MemorySystem:
         policy: SchedulingPolicy | None = None,
         rng: DeterministicRng | None = None,
     ) -> None:
-        spec = config.effective_spec()
-        num_channels = config.channels
-        require(num_channels >= 1, "need at least one memory channel")
+        spec = config.spec
+        num_channels = spec.channels
         self.spec = spec
         self.num_channels = num_channels
         rng = rng or DeterministicRng(config.seed)
@@ -78,6 +77,11 @@ class MemorySystem:
             # config names another kind.
             assumed = config.assumed_rowmap_kind
             mitigation = mitigation_factory()
+            if any(mitigation is other for other in self.mitigations):
+                raise ConfigError(
+                    "mitigation_factory returned an instance already attached "
+                    "to another channel: mitigation state cannot be shared"
+                )
             context = MitigationContext(
                 spec=spec,
                 num_threads=num_threads,
@@ -153,10 +157,7 @@ class MemorySystem:
     # mechanism telemetry, see os_telemetry below).
     # ------------------------------------------------------------------
     def merged_thread_stats(self) -> list[ThreadMemStats]:
-        """Per-thread statistics aggregated across channels.  With one
-        channel the controller's own objects are returned unchanged."""
-        if self.num_channels == 1:
-            return self.controllers[0].thread_stats
+        """Per-thread statistics aggregated across channels."""
         per_channel = [controller.thread_stats for controller in self.controllers]
         return [
             ThreadMemStats.merged([stats[thread] for stats in per_channel])
@@ -164,8 +165,6 @@ class MemorySystem:
         ]
 
     def aggregate_counts(self) -> CommandCounts:
-        if self.num_channels == 1:
-            return self.devices[0].counts
         total = CommandCounts()
         for device in self.devices:
             merge_fields(total, device.counts)
@@ -180,8 +179,6 @@ class MemorySystem:
 
     def aggregate_bitflips(self) -> list:
         """All recorded bit-flips, time-ordered across channels."""
-        if self.num_channels == 1:
-            return list(self.devices[0].bitflips)
         flips = [flip for device in self.devices for flip in device.bitflips]
         flips.sort(key=lambda flip: flip.time_ns)
         return flips

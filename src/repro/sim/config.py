@@ -10,7 +10,6 @@ from repro.dram.rowmap import ROWMAP_KINDS, RowMapping, check_rowmap_kind
 from repro.dram.spec import DDR4_2400, DramSpec
 from repro.cpu.core import CoreParams
 from repro.mem.controller import ControllerConfig
-from repro.utils.validation import ConfigError
 
 
 @dataclass(frozen=True)
@@ -22,11 +21,10 @@ class SystemConfig:
     16 banks of DDR4.
     """
 
+    #: ``spec.channels`` sets how many memory channels the system
+    #: instantiates (one controller + DRAM device shard + mitigation
+    #: instance per channel).
     spec: DramSpec = DDR4_2400
-    #: Memory channels the system instantiates (one controller + DRAM
-    #: device shard + mitigation instance per channel).  ``None`` defers
-    #: to ``spec.channels``; an explicit value overrides the spec.
-    num_channels: int | None = None
     mapping_scheme: MappingScheme = MappingScheme.MOP
     mop_run: int = 4
     controller: ControllerConfig = field(default_factory=ControllerConfig)
@@ -40,21 +38,9 @@ class SystemConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_channels is not None and self.num_channels < 1:
-            raise ConfigError("num_channels must be >= 1")
         check_rowmap_kind(self.rowmap_kind)
         if self.assumed_rowmap_kind is not None:
             check_rowmap_kind(self.assumed_rowmap_kind, "assumed_rowmap_kind")
-
-    @property
-    def channels(self) -> int:
-        """Effective channel count (explicit override, else the spec's)."""
-        return self.num_channels if self.num_channels is not None else self.spec.channels
-
-    def effective_spec(self) -> DramSpec:
-        """The spec with the effective channel count applied, so the
-        address mapping and the MemorySystem agree on channel bits."""
-        return self.spec.with_channels(self.channels)
 
     def build_rowmap(self, kind: str | None = None) -> RowMapping:
         """Instantiate the in-DRAM row mapping of ``kind`` (default: the

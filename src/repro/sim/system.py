@@ -34,7 +34,6 @@ from repro.sim.config import SystemConfig
 from repro.sim.engine import EventQueue
 from repro.sim.stats import SimResult, ThreadResult
 from repro.utils.rng import DeterministicRng
-from repro.utils.validation import ConfigError
 
 _NEVER = 1.0e30
 
@@ -61,8 +60,9 @@ class System:
     ) -> None:
         """``mitigation_factory`` builds one fresh mechanism per channel
         (required for multi-channel systems, where mitigation state must
-        not be shared).  Passing a single ``mitigation`` instance remains
-        supported for single-channel systems only.
+        not be shared: a factory that hands one instance to two channels
+        raises :class:`~repro.utils.validation.ConfigError`).  Passing a
+        single ``mitigation`` instance works on one-channel systems only.
 
         ``governor`` attaches an OS governor
         (:class:`~repro.os.governor.Governor`): the event loop reviews
@@ -79,20 +79,13 @@ class System:
         loop runs exactly as without observability."""
         self.config = config
         self.rng = DeterministicRng(config.seed)
-        spec = config.effective_spec()
-        self.mapping = AddressMapping(spec, config.mapping_scheme, config.mop_run)
+        self.mapping = AddressMapping(config.spec, config.mapping_scheme, config.mop_run)
 
         if mitigation_factory is None:
             if mitigation is None:
                 mitigation_factory = NoMitigation
-            elif config.channels == 1:
-                instance = mitigation
-                mitigation_factory = lambda: instance  # noqa: E731
             else:
-                raise ConfigError(
-                    "multi-channel systems need a mitigation_factory: a single "
-                    "mitigation instance cannot be shared across channels"
-                )
+                mitigation_factory = lambda: mitigation  # noqa: E731
         self.memsys = MemorySystem(
             config,
             num_threads=len(traces),

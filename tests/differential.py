@@ -186,10 +186,9 @@ def run_policy(
     """Simulate (scenario, seed, channels) under ``policy``."""
     hcfg = HarnessConfig(
         scale=scale,
-        base_spec=base_spec,
+        base_spec=base_spec.with_channels(channels),
         instructions_per_thread=instructions,
         warmup_ns=warmup_ns,
-        num_channels=channels,
         seed=1 + seed,
     )
     runner = Runner(hcfg, policy=policy, capture_commands=True)

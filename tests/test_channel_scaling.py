@@ -23,6 +23,7 @@ import pathlib
 
 import pytest
 
+from repro.dram.spec import DDR4_2400
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import channel_scaling
 from repro.harness.parallel import SweepReport, mix_job, run_jobs
@@ -58,9 +59,9 @@ def rhli_hcfg() -> HarnessConfig:
     blacklisted, so RHLI/blacklist attribution is nonzero."""
     return HarnessConfig(
         scale=128.0,
+        base_spec=DDR4_2400.with_channels(2),
         instructions_per_thread=4_000,
         warmup_ns=50_000.0,
-        num_channels=2,
     )
 
 

@@ -17,14 +17,12 @@ def test_parser_rejects_unknown_command():
 
 
 def test_import_loads_neither_numpy_nor_scipy():
-    """Only the Section 5 solver needs scipy (and numpy): importing the
-    package and the CLI must not load them, yet the proof stays
-    reachable as ``repro.prove_safety``."""
+    """Importing the package and the CLI loads neither numpy nor scipy,
+    and the package re-exports the Section 5 proof entry points."""
     code = (
-        "import sys, repro, repro.harness.cli\n"
+        "import sys, repro, repro.harness.cli, repro.security.solver\n"
         "heavy = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
         "assert not heavy, heavy\n"
-        "import repro.security.solver\n"
         "assert repro.prove_safety is repro.security.solver.prove_safety\n"
         "names = {}\n"
         "exec('from repro import *', names)\n"
@@ -201,6 +199,17 @@ def test_fig4_honours_mechanisms(tmp_path, capsys):
 def test_exec_policy_flags_validate(argv):
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "argv", [["fig5", "--channels", "0"], ["table1", "--channels", "-3"]]
+)
+def test_channels_flag_rejects_non_positive_counts(argv, capsys):
+    """argparse rejects the count before any command runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--channels" in capsys.readouterr().err
 
 
 def test_progress_prints_sweep_report(capsys):

@@ -22,6 +22,7 @@ import pathlib
 
 import pytest
 
+from repro.dram.spec import DDR4_2400
 from repro.harness.runner import HarnessConfig, Runner
 from repro.workloads.mixes import attack_mixes, benign_mixes
 
@@ -84,9 +85,15 @@ def _capture(result, energy) -> dict:
     }
 
 
+def _hcfg(channels: int) -> HarnessConfig:
+    return HarnessConfig(
+        base_spec=DDR4_2400.with_channels(channels), **GOLDEN["config"]
+    )
+
+
 @pytest.mark.parametrize("channels", [2, 4])
 def test_attack_blockhammer_matches_golden(channels):
-    runner = Runner(HarnessConfig(num_channels=channels, **GOLDEN["config"]))
+    runner = Runner(_hcfg(channels))
     outcome = runner.run_mix(attack_mixes(1)[0], "blockhammer")
     got = _capture(outcome.result, outcome.energy)
     assert got == GOLDEN["runs"][str(channels)]["attack_blockhammer"]
@@ -94,7 +101,7 @@ def test_attack_blockhammer_matches_golden(channels):
 
 @pytest.mark.parametrize("channels", [2, 4])
 def test_benign_graphene_matches_golden(channels):
-    runner = Runner(HarnessConfig(num_channels=channels, **GOLDEN["config"]))
+    runner = Runner(_hcfg(channels))
     outcome = runner.run_mix(benign_mixes(1)[0], "graphene")
     got = _capture(outcome.result, outcome.energy)
     assert got == GOLDEN["runs"][str(channels)]["benign_graphene"]

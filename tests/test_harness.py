@@ -6,6 +6,7 @@ tens of seconds; the benchmarks use larger settings.
 
 import pytest
 
+from repro.dram.spec import DDR4_2400
 from repro.harness import cli, experiments
 from repro.harness.experiments import _benign_ipc_maps, mix_sweep_jobs
 from repro.harness.parallel import mix_job, run_jobs
@@ -38,7 +39,6 @@ def test_scaled_nrh_consistency(hcfg):
         ("scale", 0.0),
         ("scale", 0.5),
         ("paper_nrh", 0),
-        ("num_channels", 0),
         ("instructions_per_thread", 0),
         ("instructions_per_thread", -3),
         ("warmup_ns", -1.0),
@@ -53,6 +53,11 @@ def test_scaled_nrh_consistency(hcfg):
 def test_harness_config_rejects_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field):
         HarnessConfig(**{field: value})
+
+
+def test_harness_config_rejects_zero_channels():
+    with pytest.raises(ConfigError, match="channels"):
+        HarnessConfig(base_spec=DDR4_2400.with_channels(0))
 
 
 def test_runner_rejects_obs_with_capture_commands():

@@ -2,7 +2,7 @@
 
 Two load-bearing properties:
 
-1. **Single-channel bit-identity** — ``num_channels=1`` must reproduce
+1. **Single-channel bit-identity** — a one-channel spec must reproduce
    the pre-refactor simulator exactly.  ``tests/golden_fig5.json`` was
    captured from the pre-MemorySystem code (the canonical Figure 5 sweep
    at a tier-1-sized configuration plus one raw attack-mix SimResult);
@@ -21,6 +21,7 @@ import pathlib
 
 import pytest
 
+from repro.dram.spec import DDR4_2400
 from repro.harness.experiments import fig5_multicore
 from repro.harness.runner import HarnessConfig, Runner
 from repro.mem.memsystem import MemorySystem
@@ -49,7 +50,10 @@ def golden_hcfg() -> HarnessConfig:
 def hcfg2() -> HarnessConfig:
     """A 2-channel configuration, tier-1 sized."""
     return HarnessConfig(
-        scale=128.0, instructions_per_thread=4_000, warmup_ns=5_000.0, num_channels=2
+        scale=128.0,
+        base_spec=DDR4_2400.with_channels(2),
+        instructions_per_thread=4_000,
+        warmup_ns=5_000.0,
     )
 
 
@@ -178,7 +182,6 @@ def test_refresh_phase_staggered_and_deterministic(hcfg2):
     def build():
         config = SystemConfig(
             spec=hcfg2.spec(),
-            num_channels=2,
             disturbance=hcfg2.disturbance(),
             seed=hcfg2.seed,
         )
@@ -194,29 +197,19 @@ def test_refresh_phase_staggered_and_deterministic(hcfg2):
     assert phases_a == phases_b
 
 
-def test_harness_num_channels_defers_to_spec():
-    """num_channels=None must not override a multi-channel base spec
-    (mirroring SystemConfig's None-defers-to-spec semantics)."""
-    from repro.dram.spec import DDR4_2400
-
-    hcfg = HarnessConfig(base_spec=DDR4_2400.with_channels(2))
-    assert hcfg.channels == 2
-    assert hcfg.spec().channels == 2
-    assert hcfg.system_config().channels == 2
-    override = HarnessConfig(base_spec=DDR4_2400.with_channels(2), num_channels=1)
-    assert override.spec().channels == 1
-
-
 def test_shared_mitigation_instance_rejected_for_multi_channel(hcfg2):
+    """One instance cannot serve two channels, whether it arrives as the
+    ``mitigation`` shortcut or from a factory that returns it twice."""
     from repro.core.blockhammer import BlockHammer
 
-    config = SystemConfig(
-        spec=hcfg2.spec(), num_channels=2, disturbance=hcfg2.disturbance()
-    )
+    config = hcfg2.system_config()
     mix = attack_mixes(1)[0]
     traces = mix.build_traces(hcfg2.spec(), hcfg2.mapping(), seed=1)
     with pytest.raises(ConfigError):
         System(config, traces, mitigation=BlockHammer())
+    shared = BlockHammer()
+    with pytest.raises(ConfigError):
+        System(config, traces, mitigation_factory=lambda: shared)
 
 
 def test_requests_route_to_their_channel(hcfg2):

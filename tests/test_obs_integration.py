@@ -179,7 +179,7 @@ def test_full_scan_events_land_on_their_channel_track():
     so ``sched_full_scan`` events (selects during refresh-drain windows)
     must carry the issuing controller's channel as their track."""
     mix = attack_mixes(1)[0]
-    hcfg = dataclasses.replace(HCFG, num_channels=2)
+    hcfg = dataclasses.replace(HCFG, base_spec=HCFG.base_spec.with_channels(2))
     bus = TelemetryBus(ObsConfig(trace=True, trace_commands=False))
     spec = hcfg.spec()
     traces = mix.build_traces(spec, hcfg.mapping(), seed=hcfg.seed)

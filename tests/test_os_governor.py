@@ -54,7 +54,7 @@ def build_system(
     """One attacker (thread 0) plus one benign thread under blockhammer
     (or ``mechanism_factory``), with ``governor`` attached to the
     system."""
-    spec = small_spec.with_channels(channels) if channels > 1 else small_spec
+    spec = small_spec.with_channels(channels)
     mapping = AddressMapping(spec, MappingScheme.MOP)
     attack = double_sided_attack(
         spec, mapping, victim_row=64, banks=[0, 1], channels=attack_channels
@@ -64,7 +64,6 @@ def build_system(
     )
     config = SystemConfig(
         spec=spec,
-        num_channels=channels,
         disturbance=DisturbanceProfile(nrh=128),
     )
     return System(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dram.spec import DDR4_2400
 from repro.harness.cache import ResultCache
 from repro.harness.cli import main
 from repro.harness.experiments import (
@@ -35,9 +36,9 @@ def tiny_hcfg() -> HarnessConfig:
     warmup, like a real OS would keep polling)."""
     return HarnessConfig(
         scale=512.0,
+        base_spec=DDR4_2400.with_channels(2),
         instructions_per_thread=2_000,
         warmup_ns=30_000.0,
-        num_channels=2,
     )
 
 

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.dram.spec import DDR4_2400
 from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache, source_fingerprint
 from repro.harness.experiments import OS_SWEEP_POLICIES, channel_scaling, fig5_multicore
 from repro.harness.parallel import (
@@ -32,7 +33,10 @@ from repro.workloads.mixes import attack_mixes
 def hcfg2() -> HarnessConfig:
     """2-channel, tier-1 sized."""
     return HarnessConfig(
-        scale=128.0, instructions_per_thread=4_000, warmup_ns=5_000.0, num_channels=2
+        scale=128.0,
+        base_spec=DDR4_2400.with_channels(2),
+        instructions_per_thread=4_000,
+        warmup_ns=5_000.0,
     )
 
 
@@ -119,11 +123,12 @@ def test_different_jobs_do_not_collide(tmp_path, hcfg2):
 
 
 def test_fig5_cache_serves_channel_scaling(tmp_path):
-    """Every entry carries the full end-of-run record, so a fig5 sweep
-    on disk serves the channel-scaling driver at the same channel count
+    """Every entry carries the full end-of-run record, and a point's
+    config equals the one-channel config it came from, so a fig5 sweep
+    on disk serves the channel-scaling driver's one-channel point
     without a single simulation."""
     hcfg = HarnessConfig(
-        scale=128.0, instructions_per_thread=4_000, warmup_ns=5_000.0, num_channels=1
+        scale=128.0, instructions_per_thread=4_000, warmup_ns=5_000.0
     )
     cache = ResultCache(tmp_path)
     fig5_multicore(hcfg, 1, ["blockhammer"], cache=cache)
@@ -267,7 +272,7 @@ def test_perf_smoke_two_channel_pool_and_cache(tmp_path, hcfg2):
 def hcfg_tiny() -> HarnessConfig:
     """Single-channel, eviction-test sized (simulations in milliseconds)."""
     return HarnessConfig(
-        scale=128.0, instructions_per_thread=1_500, warmup_ns=1_000.0, num_channels=1
+        scale=128.0, instructions_per_thread=1_500, warmup_ns=1_000.0
     )
 
 

@@ -26,6 +26,7 @@ import pytest
 
 from repro.cpu.trace import ListTrace
 from repro.dram.address import AddressMapping, MappingScheme
+from repro.dram.spec import DDR4_2400
 from repro.harness import parallel
 from repro.harness.runner import HarnessConfig, Runner
 from repro.obs import ObsConfig, TelemetryBus
@@ -80,7 +81,9 @@ def _run_migrated():
     spec = GovernorSpec(
         policy="migrate", epoch_ns=1_000.0, threshold=0.01, quarantine_channel=1
     )
-    hcfg = dataclasses.replace(_ACTIVE_HCFG, num_channels=2)
+    hcfg = dataclasses.replace(
+        _ACTIVE_HCFG, base_spec=_ACTIVE_HCFG.base_spec.with_channels(2)
+    )
     mix = attack_mixes(1)[0].pinned()
     return parallel.execute_job(
         parallel.mix_job(hcfg, mix, "blockhammer", governor=spec)
@@ -94,7 +97,9 @@ def _run_observed():
 
 def _run_two_channel():
     hcfg = HarnessConfig(
-        num_channels=2, instructions_per_thread=3_000, warmup_ns=5_000.0
+        base_spec=DDR4_2400.with_channels(2),
+        instructions_per_thread=3_000,
+        warmup_ns=5_000.0,
     )
     return Runner(hcfg).run_mix(attack_mixes(1)[0], "blockhammer")
 

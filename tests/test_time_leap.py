@@ -45,13 +45,12 @@ def run_system(
     *,
     single_step,
     mitigation=None,
-    num_channels=None,
     max_time_ns=60_000.0,
     seed=7,
 ):
     """Run a System with per-device command capture, optionally in the
     legacy tick-by-tick mode, and return (system, logs, result)."""
-    config = SystemConfig(spec=spec, num_channels=num_channels, seed=seed)
+    config = SystemConfig(spec=spec, seed=seed)
     system = System(config, traces, mitigation=mitigation)
     logs = []
     for device in system.memsys.devices:
@@ -155,10 +154,10 @@ def test_per_channel_stagger_survives_batching(small_spec):
     their own offsets exactly, and the whole schedule must match the
     tick-by-tick oracle."""
     _, batched, _ = run_system(
-        small_spec, [one_touch_trace()], single_step=False, num_channels=2
+        small_spec.with_channels(2), [one_touch_trace()], single_step=False
     )
     system, oracle, _ = run_system(
-        small_spec, [one_touch_trace()], single_step=True, num_channels=2
+        small_spec.with_channels(2), [one_touch_trace()], single_step=True
     )
     offsets = [ctrl.refresh.phase_offset_ns for ctrl in system.controllers]
     interval = system.controllers[0].refresh.interval
@@ -185,10 +184,10 @@ def test_loaded_multichannel_refresh_matches_oracle(small_spec):
         return [ListTrace(make_records(count=400, rows=100, seed=s)) for s in (3, 4)]
 
     _, batched, res_b = run_system(
-        spec, build(), single_step=False, num_channels=2, max_time_ns=30_000.0
+        spec.with_channels(2), build(), single_step=False, max_time_ns=30_000.0
     )
     _, oracle, res_o = run_system(
-        spec, build(), single_step=True, num_channels=2, max_time_ns=30_000.0
+        spec.with_channels(2), build(), single_step=True, max_time_ns=30_000.0
     )
     assert any(ref_times(log) for log in batched)
     assert batched == oracle
@@ -279,12 +278,13 @@ def run_harness(
     generators only address rank 0)."""
     hcfg = HarnessConfig(
         scale=1024.0,
-        base_spec=TWO_RANK_SPEC if ranks == 2 else DDR4_2400,
+        base_spec=(TWO_RANK_SPEC if ranks == 2 else DDR4_2400).with_channels(
+            channels
+        ),
         instructions_per_thread=2000,
         # Two ranks warm up past a REF on each, so refresh drains on one
         # rank overlap traffic on the other.
         warmup_ns=20_000.0 if ranks == 2 else 2_000.0,
-        num_channels=channels,
         seed=1 + seed,
     )
     runner = Runner(hcfg, capture_commands=True)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dram.address import AddressMapping, MappingScheme
+from repro.dram.spec import DDR4_2400
 from repro.utils.rng import DeterministicRng
 from repro.utils.validation import ConfigError
 from repro.workloads.attacks import (
@@ -382,7 +383,10 @@ def test_channel_affine_run_skews_per_channel_rows():
     from repro.workloads.generator import build_benign_trace as _build
 
     hcfg = HarnessConfig(
-        scale=128.0, instructions_per_thread=2_000, warmup_ns=1_000.0, num_channels=2
+        scale=128.0,
+        base_spec=DDR4_2400.with_channels(2),
+        instructions_per_thread=2_000,
+        warmup_ns=1_000.0,
     )
     profile = profile_by_name("429.mcf").pinned_to(0)
     trace = _build(profile, hcfg.spec(), hcfg.mapping(), seed=hcfg.seed)

@@ -10,7 +10,7 @@ schemes and one and two channels:
 * profiles ``429.mcf``, ``movnti.colmaj`` (streaming) and ``403.gcc``,
   each spread and ``pinned_to(1)``;
 * ``MappingScheme.MOP`` and ``MappingScheme.ROW_BANK_COL``;
-* ``HarnessConfig(scale=128.0, num_channels=1 or 2)``;
+* ``DDR4_2400.with_channels(1 or 2).scaled(128.0)``;
 * seed 7, row offset 1024, the first 1,500 records of each stream.
 
 Each case hashes ``(gap, address, is_write)`` of its records with
@@ -31,7 +31,7 @@ import hashlib
 import sys
 
 from repro.dram.address import AddressMapping, MappingScheme
-from repro.harness.runner import HarnessConfig
+from repro.dram.spec import DDR4_2400
 from repro.workloads.generator import build_benign_trace
 from repro.workloads.profiles import profile_by_name
 
@@ -80,7 +80,7 @@ def cases():
                 profile = profile.pinned_to(1)
             for scheme in SCHEMES:
                 for channels in CHANNELS:
-                    spec = HarnessConfig(scale=128.0, num_channels=channels).spec()
+                    spec = DDR4_2400.with_channels(channels).scaled(128.0)
                     mapping = AddressMapping(spec, scheme)
                     trace = build_benign_trace(
                         profile, spec, mapping, seed=SEED, row_offset=ROW_OFFSET
