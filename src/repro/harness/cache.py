@@ -10,8 +10,9 @@ an unchanged sweep (``fig4``/``fig5``/``chansweep``/``fig6``/``rhli``/
 and returns bit-identical rows — floats survive the JSON round-trip
 exactly (``repr`` shortest-round-trip encoding).  Every entry carries
 the job's full end-of-run record — results, energy, per-channel
-mechanism telemetry and governor actions — so any driver can be served
-by an entry another driver stored: a ``fig5`` sweep on disk serves the
+mechanism telemetry, governor actions and an observed job's telemetry
+record (trace events, metric rows) — so any driver can be served by an
+entry another driver stored: a ``fig5`` sweep on disk serves the
 ``chansweep``, ``rhli`` and ``sec84`` jobs of the same configuration.
 ``JobResult.extras`` (a tracing side channel) is not stored.
 
@@ -45,7 +46,7 @@ from repro.sim.stats import ChannelResult, SimResult, ThreadResult
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Bump when the JSON layout changes (old entries are ignored).
-_FORMAT = 3
+_FORMAT = 4
 
 
 @lru_cache(maxsize=1)
@@ -192,6 +193,7 @@ class ResultCache:
                 energy=EnergyBreakdown(**data["energy"]),
                 telemetry=[MechanismTelemetry(**t) for t in data["telemetry"]],
                 governor_actions=data["governor_actions"],
+                obs_record=data["obs_record"],
             )
         except (KeyError, TypeError, ValueError):
             # Schema-valid envelope around a mangled payload (e.g. a
@@ -230,6 +232,8 @@ class ResultCache:
             # Governor.actions_summary() is JSON-safe by contract (lists
             # of scalars, string keys); ungoverned runs store None.
             "governor_actions": result.governor_actions,
+            # TelemetryBus.record() is JSON-safe too (None = unobserved).
+            "obs_record": result.obs_record,
         }
         self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(job)

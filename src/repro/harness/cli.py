@@ -23,7 +23,7 @@ from repro.core.config import BlockHammerConfig
 from repro.dram.spec import DDR4_2400
 from repro.harness import experiments
 from repro.harness.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.harness.parallel import SweepReport
+from repro.harness.parallel import SweepReport, failed, mix_job, run_jobs
 from repro.harness.reporting import (
     format_attribution,
     format_channel_summary,
@@ -35,9 +35,12 @@ from repro.harness.reporting import (
 from repro.harness.retry import DEFAULT_RETRIES, ON_ERROR_MODES, ExecPolicy
 from repro.harness.runner import HarnessConfig
 from repro.hwcost.mechanisms import table4_rows
-from repro.obs.profile import format_profile_breakdown, write_report_json
 from repro.mitigations.registry import available_mitigations
+from repro.obs import ObsConfig, write_perfetto
+from repro.obs.metrics import write_csv
+from repro.obs.profile import format_profile_breakdown, write_report_json
 from repro.security.solver import prove_safety
+from repro.workloads.mixes import attack_mixes
 
 
 def _hcfg(args, default_channels: int = 1) -> HarnessConfig:
@@ -231,34 +234,33 @@ def cmd_table8(args, execution) -> str:
 
 def cmd_trace(args, execution) -> str:
     """Run one attack-mix scenario with tracing and epoch metrics on,
-    writing a Perfetto ``trace_event`` JSON and a tidy metrics CSV."""
-    from repro.harness.runner import Runner
-    from repro.obs import ObsConfig, TelemetryBus, write_perfetto
-    from repro.workloads.mixes import attack_mixes
-
+    writing a Perfetto ``trace_event`` JSON and a tidy metrics CSV.  It
+    is a one-job sweep, so the pool, cache, retry and report flags apply."""
     mechanism = args.mechanisms[0] if args.mechanisms else "blockhammer"
-    bus = TelemetryBus(
-        ObsConfig(
-            trace=True,
-            trace_limit=args.trace_limit,
-            metrics=True,
-            metrics_epoch_ns=args.metrics_epoch_ns,
-        )
-    )
     mix = attack_mixes(1)[0]
-    outcome = Runner(_hcfg(args), obs=bus).run_mix(mix, mechanism)
-    document = write_perfetto(args.trace_out, bus.trace)
-    metric_rows = bus.metrics.write_csv(args.metrics_out)
+    obs = ObsConfig(
+        trace=True,
+        trace_limit=args.trace_limit,
+        metrics=True,
+        metrics_epoch_ns=args.metrics_epoch_ns,
+    )
+    job = mix_job(_hcfg(args), mix, mechanism, obs=obs)
+    entry = run_jobs([job], **execution)[job]
+    if failed(entry):
+        return f"trace job failed ({entry.kind}): {entry.error}; nothing written"
+    record = entry.obs_record
+    document = write_perfetto(args.trace_out, record["events"], record["measure_start"])
+    metric_rows = write_csv(args.metrics_out, record["metric_rows"])
     return format_table(
         ["key", "value"],
         [
             ["mechanism", mechanism],
             ["mix", mix.name],
-            ["trace events", len(bus.trace.events)],
-            ["dropped", bus.trace.dropped],
+            ["trace events", len(record["events"])],
+            ["dropped", record["dropped"]],
             ["perfetto events", len(document["traceEvents"])],
             ["metric rows", metric_rows],
-            ["victim refreshes", outcome.result.victim_refreshes],
+            ["victim refreshes", entry.result.victim_refreshes],
             ["trace file", args.trace_out],
             ["metrics file", args.metrics_out],
         ],

@@ -56,7 +56,9 @@ boundary nor enters the cache; every job instead returns the same
 end-of-run record of them, taken inside the worker: one
 :class:`~repro.mitigations.base.MechanismTelemetry` per channel
 (``JobResult.telemetry``) and the OS governor's action summary
-(``JobResult.governor_actions``).
+(``JobResult.governor_actions``).  Likewise a job carries only its
+:class:`~repro.obs.probe.ObsConfig` (``SimJob.obs``) and returns the
+live bus's plain-data record (``JobResult.obs_record``).
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ from repro.harness.retry import ExecPolicy, backoff_delay
 from repro.harness.runner import HarnessConfig, Runner
 from repro.mitigations.base import MechanismTelemetry
 from repro.mitigations.registry import available_mitigations
+from repro.obs.probe import ObsConfig
 from repro.obs.profile import JobProfile
 from repro.os.spec import GovernorSpec
 from repro.sim.stats import SimResult
@@ -122,6 +125,8 @@ class SimJob:
     #: frozen spec rather than a live Governor so the job stays
     #: picklable and the cache can key on its repr.
     governor: GovernorSpec | None = None
+    #: Observability (None = off); metric sampling adds events.
+    obs: ObsConfig | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("single", "mix", "ablation"):
@@ -154,8 +159,9 @@ class JobResult:
     :func:`~repro.mitigations.base.max_thread_rhli` and
     :func:`~repro.mitigations.base.sum_counters`), and
     ``governor_actions`` is ``Governor.actions_summary()``, ``None``
-    for an ungoverned run.  ``extras`` is a side channel for tracing
-    tools; the result cache does not store it.
+    for an ungoverned run; ``obs_record`` is ``TelemetryBus.record()`` or
+    ``None``.  ``extras`` is a side channel for tracing tools; the
+    result cache does not store it.
     """
 
     key: SimJob
@@ -163,6 +169,7 @@ class JobResult:
     energy: EnergyBreakdown
     telemetry: list[MechanismTelemetry] = field(default_factory=list)
     governor_actions: dict | None = None
+    obs_record: dict | None = None
     extras: dict = field(default_factory=dict)
 
     @property
@@ -241,7 +248,7 @@ class SweepReport:
 # ----------------------------------------------------------------------
 def execute_job(job: SimJob) -> JobResult:
     """Run one job to completion (callable in any process)."""
-    runner = Runner(job.hcfg)
+    runner = Runner(job.hcfg, obs=job.obs)
     if job.kind == "single":
         outcome = runner.run_single(
             job.app,
@@ -262,6 +269,7 @@ def execute_job(job: SimJob) -> JobResult:
         governor_actions=(
             outcome.governor.actions_summary() if outcome.governor is not None else None
         ),
+        obs_record=outcome.obs.record() if outcome.obs is not None else None,
     )
 
 
@@ -684,8 +692,9 @@ def mix_job(
     mix: WorkloadMix,
     mechanism: str = "none",
     governor: GovernorSpec | None = None,
+    obs: ObsConfig | None = None,
 ) -> SimJob:
-    return SimJob(hcfg=hcfg, kind="mix", mechanism=mechanism, mix=mix, governor=governor)
+    return SimJob(hcfg, "mix", mechanism, mix=mix, governor=governor, obs=obs)
 
 
 def ablation_job(hcfg: HarnessConfig, mechanism: str = "none") -> SimJob:

@@ -23,6 +23,7 @@ from repro.dram.spec import DDR4_2400, DramSpec, scaled_threshold
 from repro.energy.drampower import EnergyBreakdown, EnergyModel
 from repro.mitigations.base import MitigationMechanism
 from repro.mitigations.registry import build_mitigation
+from repro.obs.probe import ObsConfig, TelemetryBus
 from repro.os.governor import Governor
 from repro.os.spec import GovernorSpec, build_governor
 from repro.sim.config import SystemConfig
@@ -158,6 +159,8 @@ class RunOutcome:
     command_logs: tuple[list, ...] | None = None
     #: The OS governor this run executed under (None = no governor).
     governor: Governor | None = None
+    #: The telemetry bus this run recorded into (None = unobserved).
+    obs: TelemetryBus | None = None
 
     @property
     def mechanism(self) -> MitigationMechanism:
@@ -178,24 +181,22 @@ class Runner:
     The differential scheduler harness uses both to prove the fast and
     the reference policy produce identical command streams.
 
-    ``obs`` attaches a :class:`~repro.obs.probe.TelemetryBus` to every
-    system this runner builds (the CLI ``trace`` subcommand's path).
-    It and ``capture_commands`` both claim the device command-log hook,
-    so asking for both raises :class:`ConfigError`.
+    ``obs`` (an :class:`~repro.obs.probe.ObsConfig`) gives every system
+    this runner builds a fresh telemetry bus (``RunOutcome.obs``).  It
+    and ``capture_commands`` both claim the device command-log hook, so
+    asking for both raises :class:`ConfigError`.
     """
 
     def __init__(
         self,
         hcfg: HarnessConfig,
-        energy_model: EnergyModel | None = None,
         policy=None,
         capture_commands: bool = False,
-        obs=None,
+        obs: ObsConfig | None = None,
     ) -> None:
         if obs is not None and capture_commands:
             raise ConfigError("Runner obs and capture_commands are mutually exclusive")
         self.hcfg = hcfg
-        self.energy_model = energy_model or EnergyModel()
         self.policy = policy
         self.capture_commands = capture_commands
         self.obs = obs
@@ -216,9 +217,9 @@ class Runner:
             mitigation_factory=lambda: build_mitigation(mechanism_name, **kwargs),
             policy=self.policy,
             core_params_per_thread=core_params_per_thread,
-            # One fresh governor per system: policies carry run state.
+            # One fresh governor and bus per system: both carry run state.
             governor=build_governor(governor),
-            obs=self.obs,
+            obs=TelemetryBus(self.obs) if self.obs is not None else None,
         )
 
     def run_traces(
@@ -251,10 +252,11 @@ class Runner:
         )
         return RunOutcome(
             result=result,
-            energy=self.energy_model.energy_of(result),
+            energy=EnergyModel().energy_of(result),
             mechanisms=tuple(system.mitigations),
             command_logs=logs,
             governor=system.governor,
+            obs=system.obs,
         )
 
     # ------------------------------------------------------------------

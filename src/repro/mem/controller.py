@@ -338,7 +338,7 @@ class MemoryController:
         probe = self.probe
         issue_for = self._issue_for_request
         advance_to = mitigation.advance_to
-        pv = mitigation._pending_vrefs
+        pv = mitigation.pending_vrefs
         draining = self._write_draining
         horizon = self._mitig_horizon
         t = now

@@ -2,7 +2,7 @@
 
 Every RowHammer mitigation mechanism in this repository implements
 :class:`MitigationMechanism`.  The memory controller interacts with a
-mechanism through five hooks:
+mechanism through four hooks and one list:
 
 * :meth:`~MitigationMechanism.act_allowed_at` — proactive throttling:
   the earliest time an ACT to (rank, bank, row) may issue.  Most
@@ -10,11 +10,11 @@ mechanism through five hooks:
   blacklisted, recently-activated rows (Section 3.1).
 * :meth:`~MitigationMechanism.on_activate` — observation: called when an
   ACT actually issues, with the issuing thread.
-* :meth:`~MitigationMechanism.drain_victim_refreshes` — reactive refresh:
-  victim rows the controller must refresh (PARA, PRoHIT, MRLoc, CBT,
-  TWiCe, Graphene).  Requires knowledge of the in-DRAM row mapping
-  (Section 2.3) — which is the compatibility challenge BlockHammer
-  avoids.
+* :attr:`~MitigationMechanism.pending_vrefs` — reactive refresh: the
+  victim rows (PARA, PRoHIT, MRLoc, CBT, TWiCe, Graphene), a list the
+  controller drains on every scheduling step.  Requires knowledge of
+  the in-DRAM row mapping (Section 2.3) — which is the compatibility
+  challenge BlockHammer avoids.
 * :meth:`~MitigationMechanism.max_inflight` — source throttling quota per
   <thread, bank> (AttackThrottler, Section 3.2.2).
 * :meth:`~MitigationMechanism.advance_to` — the one time hook: advance
@@ -141,7 +141,9 @@ class MitigationMechanism:
 
     def __init__(self) -> None:
         self.context: MitigationContext | None = None
-        self._pending_vrefs: list[VictimRefresh] = []
+        #: Victim refreshes for the controller, which holds this list
+        #: object and clears it in place: never rebind it.
+        self.pending_vrefs: list[VictimRefresh] = []
         # Mechanisms that inherit the base act_allowed_at can never
         # block an ACT, so every scheduler verdict for them is stable
         # forever: the incremental FR-FCFS policy checks this flag once
@@ -224,19 +226,8 @@ class MitigationMechanism:
     # Reactive refresh.
     # ------------------------------------------------------------------
     def queue_victim_refresh(self, rank: int, bank: int, row: int) -> None:
-        """Internal helper: schedule a victim-row refresh."""
-        self._pending_vrefs.append((rank, bank, row))
-
-    def drain_victim_refreshes(self) -> list[VictimRefresh]:
-        """Return and clear the pending victim-refresh list."""
-        if not self._pending_vrefs:
-            return []
-        # Copy-and-clear rather than swap: the controller's batched hot
-        # loop holds a direct reference to this list, so the object must
-        # stay stable for the mechanism's lifetime.
-        out = list(self._pending_vrefs)
-        self._pending_vrefs.clear()
-        return out
+        """Schedule a victim-row refresh on :attr:`pending_vrefs`."""
+        self.pending_vrefs.append((rank, bank, row))
 
     # ------------------------------------------------------------------
     # Source throttling.

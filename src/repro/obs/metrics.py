@@ -29,7 +29,6 @@ simulation results.
 from __future__ import annotations
 
 import csv
-import io
 
 #: Tidy-row field order (also the CSV header).
 FIELDS = ("epoch", "time_ns", "phase", "channel", "metric", "index", "value")
@@ -42,12 +41,10 @@ class EpochMetricsCollector:
         self.rows: list[dict] = []
         self.epochs = 0
         self.phase = "measure"
-        self._reset_at: float | None = None
 
     # ------------------------------------------------------------------
     def note_measurement_reset(self, now: float) -> None:
         """Warmup ended at ``now``: later samples read reset counters."""
-        self._reset_at = now
         self.phase = "measure"
 
     def begin_warmup(self) -> None:
@@ -110,16 +107,11 @@ class EpochMetricsCollector:
         """Rows sampled during the measured phase only."""
         return [row for row in self.rows if row["phase"] == "measure"]
 
-    def to_csv(self) -> str:
-        """The tidy rows as CSV text (header + one line per row)."""
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(self.rows)
-        return buffer.getvalue()
 
-    def write_csv(self, path) -> int:
-        """Write :meth:`to_csv` to ``path``; returns the row count."""
-        with open(path, "w") as handle:
-            handle.write(self.to_csv())
-        return len(self.rows)
+def write_csv(path, rows: list[dict]) -> int:
+    """Write tidy metric rows to ``path`` as CSV; returns the row count."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return len(rows)

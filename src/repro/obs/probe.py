@@ -14,12 +14,17 @@ when observability is off.
 :class:`TelemetryBus` owns the per-run sinks (trace ring buffer, epoch
 metrics collector) and hands out probes per category.  The
 :class:`~repro.sim.system.System` wires a bus through every layer at
-construction time (``System(..., obs=bus)``).
+construction time (``System(..., obs=bus)``).  A harness job carries
+only its :class:`ObsConfig` and returns :meth:`TelemetryBus.record`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.obs.metrics import EpochMetricsCollector
+from repro.obs.trace import TraceSink
+from repro.utils.validation import require
 
 
 class Probe:
@@ -41,9 +46,6 @@ class Probe:
         arguments become the event's payload.
         """
         self._emit(ts, self.category, name, track, args or None)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Probe({self.category!r})"
 
 
 @dataclass(frozen=True)
@@ -69,14 +71,19 @@ class ObsConfig:
     #: the OS governor uses).
     metrics_epoch_ns: float | None = None
 
+    def __post_init__(self) -> None:
+        require(self.trace_limit >= 1, "trace_limit must be >= 1")
+        # A non-positive period would resample one instant forever.
+        require(
+            self.metrics_epoch_ns is None or self.metrics_epoch_ns > 0,
+            "metrics_epoch_ns must be None or > 0",
+        )
+
 
 class TelemetryBus:
     """Per-run observability switchboard: sinks plus probe hand-out."""
 
     def __init__(self, config: ObsConfig | None = None) -> None:
-        from repro.obs.metrics import EpochMetricsCollector
-        from repro.obs.trace import TraceSink
-
         self.config = config or ObsConfig()
         #: The trace sink, or ``None`` when tracing is off.
         self.trace: TraceSink | None = (
@@ -86,11 +93,6 @@ class TelemetryBus:
         self.metrics: EpochMetricsCollector | None = (
             EpochMetricsCollector() if self.config.metrics else None
         )
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any sink is live (an inert bus wires nothing)."""
-        return self.trace is not None or self.metrics is not None
 
     def probe(self, category: str) -> Probe:
         """A :class:`Probe` for ``category`` on the trace sink.  Only a
@@ -105,3 +107,14 @@ class TelemetryBus:
             self.trace.note_measurement_reset(now)
         if self.metrics is not None:
             self.metrics.note_measurement_reset(now)
+
+    def record(self) -> dict:
+        """Trace events, drops, warmup boundary and metric rows as plain
+        data (lists, str-keyed dicts, scalars): the cache round-trips it."""
+        trace = self.trace
+        return {
+            "events": [list(event) for event in trace.events] if trace else [],
+            "dropped": trace.dropped if trace else 0,
+            "measure_start": trace.measure_start if trace else None,
+            "metric_rows": self.metrics.rows if self.metrics else [],
+        }

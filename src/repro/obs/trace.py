@@ -33,9 +33,6 @@ class TraceSink:
     """Bounded, append-only store of typed trace events."""
 
     def __init__(self, limit: int = 500_000) -> None:
-        if limit < 1:
-            raise ValueError("trace limit must be >= 1")
-        self.limit = limit
         self._events: deque[TraceEvent] = deque(maxlen=limit)
         #: Events ever emitted (including ones the ring later dropped).
         self.total_emitted = 0
@@ -181,15 +178,10 @@ def to_perfetto(events, measure_start: float | None = None) -> dict:
     return {"traceEvents": trace_events, "displayTimeUnit": "ns"}
 
 
-def write_perfetto(path, sink_or_events) -> dict:
-    """Serialize a sink (or raw event list) to ``path`` as Perfetto
-    JSON; returns the written object."""
-    if isinstance(sink_or_events, TraceSink):
-        document = to_perfetto(
-            sink_or_events.events, measure_start=sink_or_events.measure_start
-        )
-    else:
-        document = to_perfetto(sink_or_events)
+def write_perfetto(path, events, measure_start: float | None = None) -> dict:
+    """Serialize events (and the warmup boundary) to ``path`` as
+    Perfetto JSON; returns the written object."""
+    document = to_perfetto(events, measure_start=measure_start)
     with open(path, "w") as handle:
         json.dump(document, handle)
         handle.write("\n")

@@ -29,7 +29,7 @@ from repro.dram.address import AddressMapping
 from repro.mem.memsystem import MemorySystem, MitigationFactory
 from repro.mem.request import Request
 from repro.mem.scheduler import FrFcfsPolicy, SchedulingPolicy
-from repro.mitigations.base import MitigationMechanism, NoMitigation
+from repro.mitigations.base import NoMitigation
 from repro.sim.config import SystemConfig
 from repro.sim.engine import EventQueue
 from repro.sim.stats import SimResult, ThreadResult
@@ -51,18 +51,17 @@ class System:
         self,
         config: SystemConfig,
         traces: list[Trace],
-        mitigation: MitigationMechanism | None = None,
+        *,
+        mitigation_factory: MitigationFactory = NoMitigation,
         policy: SchedulingPolicy | None = None,
         core_params_per_thread: list | None = None,
-        mitigation_factory: MitigationFactory | None = None,
         governor=None,
         obs=None,
     ) -> None:
         """``mitigation_factory`` builds one fresh mechanism per channel
-        (required for multi-channel systems, where mitigation state must
-        not be shared: a factory that hands one instance to two channels
-        raises :class:`~repro.utils.validation.ConfigError`).  Passing a
-        single ``mitigation`` instance works on one-channel systems only.
+        (default: no mitigation).  Mitigation state must not be shared
+        across channels: a factory that hands one instance to two
+        channels raises :class:`~repro.utils.validation.ConfigError`.
 
         ``governor`` attaches an OS governor
         (:class:`~repro.os.governor.Governor`): the event loop reviews
@@ -81,11 +80,6 @@ class System:
         self.rng = DeterministicRng(config.seed)
         self.mapping = AddressMapping(config.spec, config.mapping_scheme, config.mop_run)
 
-        if mitigation_factory is None:
-            if mitigation is None:
-                mitigation_factory = NoMitigation
-            else:
-                mitigation_factory = lambda: mitigation  # noqa: E731
         self.memsys = MemorySystem(
             config,
             num_threads=len(traces),
@@ -138,12 +132,12 @@ class System:
         # reset re-marks them finished.
         self.governor = governor
         self._descheduled = [False] * len(self.cores)
-        # Observability (repro.obs): wired only when a live bus is
-        # passed; otherwise every component's probe attribute keeps its
+        # Observability (repro.obs): wired only from a bus's live sinks;
+        # otherwise every component's probe attribute keeps its
         # class-level None and no sampling events exist.
         self.obs = obs
         self._metrics_period: float | None = None
-        if obs is not None and obs.enabled:
+        if obs is not None:
             self._attach_obs(obs)
 
     # ------------------------------------------------------------------
@@ -152,18 +146,16 @@ class System:
     def _attach_obs(self, obs) -> None:
         """Bind the telemetry bus through every layer.
 
-        Runs once at construction, only for a live bus: probes land on
-        component attributes that otherwise stay ``None``, and the DRAM
-        command stream is mirrored through the device's existing
-        ``command_log`` hook (skipped for any device that already has a
-        log attached — e.g. the differential harness's capture)."""
+        Runs once at construction, binding only the bus's live sinks:
+        probes land on component attributes that otherwise stay
+        ``None``, and the DRAM command stream is mirrored through each
+        fresh device's ``command_log`` hook."""
         from repro.obs.trace import ChannelCommandLog
 
         if obs.trace is not None:
             if obs.config.trace_commands:
                 for channel, device in enumerate(self.memsys.devices):
-                    if device.command_log is None:
-                        device.command_log = ChannelCommandLog(obs.trace, channel)
+                    device.command_log = ChannelCommandLog(obs.trace, channel)
             mem_probe = obs.probe("mem")
             for controller in self.controllers:
                 controller.probe = mem_probe

@@ -6,6 +6,7 @@ from repro.core.blockhammer import BlockHammer
 from repro.core.config import BlockHammerConfig
 from repro.dram.rowhammer import DisturbanceProfile
 from repro.dram.spec import scaled_threshold
+from repro.mitigations.base import NoMitigation
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.workloads.attacks import double_sided_attack
@@ -18,11 +19,11 @@ def build_attack_system(small_spec, mechanism, nrh=128):
     config = SystemConfig(
         spec=small_spec, disturbance=DisturbanceProfile(nrh=nrh, blast_radius=1)
     )
-    return System(config, [trace], mechanism)
+    return System(config, [trace], mitigation_factory=lambda: mechanism)
 
 
 def test_unprotected_attack_flips_bits(small_spec):
-    system = build_attack_system(small_spec, None)
+    system = build_attack_system(small_spec, NoMitigation())
     result = system.run(instructions_per_thread=40_000)
     assert result.total_bitflips > 0
 

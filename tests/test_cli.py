@@ -265,6 +265,41 @@ def test_trace_command_writes_artifacts(tmp_path, capsys):
     assert rows and tuple(rows[0]) == FIELDS
 
 
+def test_trace_command_is_a_cached_sweep(tmp_path, capsys):
+    """`trace` is a one-job sweep: it honours --cache-dir and
+    --report-json, and a warm rerun executes nothing and writes the same
+    table, trace and metrics bytes."""
+    import json
+
+    trace_path = tmp_path / "trace.json"
+    metrics_path = tmp_path / "metrics.csv"
+    outputs = {}
+    for run in ("cold", "warm"):
+        report = tmp_path / f"{run}.json"
+        code = main(
+            [
+                "trace",
+                "--scale", "4096",
+                "--instructions", "6000",
+                "--warmup-us", "5",
+                "--metrics-epoch-ns", "5000",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--report-json", str(report),
+                "--trace-out", str(trace_path),
+                "--metrics-out", str(metrics_path),
+            ]
+        )
+        assert code == 0
+        outputs[run] = (
+            json.loads(report.read_text())["executed"],
+            capsys.readouterr().out,
+            trace_path.read_bytes(),
+            metrics_path.read_bytes(),
+        )
+    assert outputs["cold"][0] == 1 and outputs["warm"][0] == 0
+    assert outputs["cold"][1:] == outputs["warm"][1:]
+
+
 def test_trace_command_ring_limit(tmp_path, capsys):
     """A tiny --trace-limit drops events and the summary reports it."""
     code = main(

@@ -12,7 +12,7 @@ from repro.harness.experiments import _benign_ipc_maps, mix_sweep_jobs
 from repro.harness.parallel import mix_job, run_jobs
 from repro.harness.reporting import format_table
 from repro.harness.runner import HarnessConfig, Runner
-from repro.obs.probe import TelemetryBus
+from repro.obs.probe import ObsConfig
 from repro.utils.validation import ConfigError
 from repro.workloads.mixes import attack_mixes, benign_mixes
 
@@ -64,7 +64,22 @@ def test_runner_rejects_obs_with_capture_commands():
     """Both claim the device command-log hook: the obs trace would
     silently lose every DRAM command."""
     with pytest.raises(ConfigError, match="mutually exclusive"):
-        Runner(HarnessConfig(), capture_commands=True, obs=TelemetryBus())
+        Runner(HarnessConfig(), capture_commands=True, obs=ObsConfig())
+
+
+def test_observed_runner_gives_each_run_its_own_bus():
+    """A runner holds an ObsConfig, not a live bus: running the same mix
+    twice returns two independent buses with equal records, so no run
+    adds to another's events or metric rows."""
+    hcfg = HarnessConfig(scale=4096.0, instructions_per_thread=2_000, warmup_ns=5_000.0)
+    runner = Runner(hcfg, obs=ObsConfig(trace=True, metrics=True))
+    mix = attack_mixes(1)[0]
+    first = runner.run_mix(mix, "blockhammer")
+    second = runner.run_mix(mix, "blockhammer")
+    assert first.obs is not second.obs
+    record = first.obs.record()
+    assert record["events"] and record["metric_rows"]
+    assert second.obs.record() == record
 
 
 def test_cli_rejects_bad_config_before_dispatch(monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimJob, dedupe_jobs, mix_job
 from repro.harness.runner import HarnessConfig
+from repro.obs.probe import ObsConfig
 from repro.os.spec import GovernorSpec
 from repro.workloads.mixes import DEFAULT_MIX_THREADS, attack_mixes
 
@@ -35,6 +36,7 @@ JOB_VARIANTS = {
     "threads": DEFAULT_MIX_THREADS + 1,
     "mix": dataclasses.replace(MIX, name=MIX.name + "-other"),
     "governor": GovernorSpec(policy="kill"),
+    "obs": ObsConfig(metrics=True),
 }
 
 #: One changed value per WorkloadMix field.

@@ -42,7 +42,7 @@ def test_blockhammer_protects_other_standards(base_spec):
     protected = System(
         SystemConfig(spec=spec, disturbance=DisturbanceProfile(nrh=128)),
         [double_sided_attack(spec, mapping, victim_row=64, banks=[0, 1])],
-        mechanism,
+        mitigation_factory=lambda: mechanism,
     ).run(instructions_per_thread=40_000)
     assert protected.total_bitflips == 0
 
@@ -77,7 +77,7 @@ def test_fcfs_still_protected_by_blockhammer(small_spec):
     mapping = AddressMapping(small_spec, MappingScheme.MOP)
     trace = double_sided_attack(small_spec, mapping, victim_row=64, banks=[0, 1])
     config = SystemConfig(spec=small_spec, disturbance=DisturbanceProfile(nrh=128))
-    result = System(config, [trace], BlockHammer(), policy=FcfsPolicy()).run(
-        instructions_per_thread=20_000
-    )
+    result = System(
+        config, [trace], mitigation_factory=BlockHammer, policy=FcfsPolicy()
+    ).run(instructions_per_thread=20_000)
     assert result.total_bitflips == 0

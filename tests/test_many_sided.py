@@ -12,6 +12,7 @@ import pytest
 from repro.core.blockhammer import BlockHammer
 from repro.dram.address import AddressMapping, MappingScheme
 from repro.dram.rowhammer import DisturbanceProfile
+from repro.mitigations.base import NoMitigation
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.workloads.attacks import many_sided_attack
@@ -22,12 +23,12 @@ def run_many_sided(small_spec, mechanism, blast_radius=2, nrh=192, sides=6):
     trace = many_sided_attack(small_spec, mapping, first_row=64, sides=sides, banks=[0, 1])
     profile = DisturbanceProfile(nrh=nrh, blast_radius=blast_radius, decay=0.5)
     config = SystemConfig(spec=small_spec, disturbance=profile)
-    system = System(config, [trace], mechanism)
+    system = System(config, [trace], mitigation_factory=lambda: mechanism)
     return system.run(instructions_per_thread=60_000)
 
 
 def test_many_sided_defeats_unprotected_system(small_spec):
-    result = run_many_sided(small_spec, None)
+    result = run_many_sided(small_spec, NoMitigation())
     assert result.total_bitflips > 0
 
 

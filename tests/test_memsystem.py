@@ -198,15 +198,13 @@ def test_refresh_phase_staggered_and_deterministic(hcfg2):
 
 
 def test_shared_mitigation_instance_rejected_for_multi_channel(hcfg2):
-    """One instance cannot serve two channels, whether it arrives as the
-    ``mitigation`` shortcut or from a factory that returns it twice."""
+    """One instance cannot serve two channels: a factory that returns it
+    twice is rejected."""
     from repro.core.blockhammer import BlockHammer
 
     config = hcfg2.system_config()
     mix = attack_mixes(1)[0]
     traces = mix.build_traces(hcfg2.spec(), hcfg2.mapping(), seed=1)
-    with pytest.raises(ConfigError):
-        System(config, traces, mitigation=BlockHammer())
     shared = BlockHammer()
     with pytest.raises(ConfigError):
         System(config, traces, mitigation_factory=lambda: shared)

@@ -24,7 +24,7 @@ def test_graphene_refreshes_at_threshold_multiples():
     graphene.attach(make_context())
     for i in range(25):
         graphene.on_activate(0, 0, 100, 0, 0.0)
-    vrefs = graphene.drain_victim_refreshes()
+    vrefs = graphene.pending_vrefs
     # Refreshes fire at counts 10 and 20: 2 x 2 neighbors.
     assert len(vrefs) == 4
     assert all(row in (99, 101) for (_, _, row) in vrefs)
@@ -69,7 +69,7 @@ def test_twice_refreshes_at_threshold():
     threshold = twice.refresh_threshold
     for _ in range(threshold):
         twice.on_activate(0, 0, 100, 0, 0.0)
-    vrefs = twice.drain_victim_refreshes()
+    vrefs = twice.pending_vrefs
     assert (0, 0, 99) in vrefs and (0, 0, 101) in vrefs
 
 
@@ -117,7 +117,7 @@ def test_cbt_leaf_refreshes_region():
     for _ in range(3000):
         cbt.on_activate(0, 0, 100, 0, 0.0)
     assert cbt.region_refreshes > 0
-    assert len(cbt.drain_victim_refreshes()) > 0
+    assert len(cbt.pending_vrefs) > 0
 
 
 def test_cbt_counter_budget_limits_splits():

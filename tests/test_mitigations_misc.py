@@ -93,7 +93,7 @@ def test_no_mitigation_is_inert():
     mechanism.attach(make_context())
     assert mechanism.act_allowed_at(0, 0, 1, 0, 5.0) == 5.0
     assert mechanism.max_inflight(0, 0, 0) is None
-    assert mechanism.drain_victim_refreshes() == []
+    assert mechanism.pending_vrefs == []
     assert mechanism.refresh_interval_scale() == 1.0
 
 

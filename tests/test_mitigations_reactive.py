@@ -52,7 +52,7 @@ def test_para_injects_adjacent_refreshes_at_expected_rate():
     para.attach(make_context())
     for _ in range(2000):
         para.on_activate(0, 0, 100, 0, 0.0)
-    vrefs = para.drain_victim_refreshes()
+    vrefs = para.pending_vrefs
     assert 800 < len(vrefs) < 1200
     assert all(row in (99, 101) for (_, _, row) in vrefs)
 
@@ -84,7 +84,7 @@ def test_prohit_promotes_and_refreshes_hot_rows():
     # Advance past one tREFI tick: hottest entry's neighbors refreshed.
     # The horizon is the next tREFI tick.
     assert prohit.advance_to(DDR4_2400.tREFI + 1.0) == 2 * DDR4_2400.tREFI
-    vrefs = prohit.drain_victim_refreshes()
+    vrefs = prohit.pending_vrefs
     assert (0, 0, 499) in vrefs and (0, 0, 501) in vrefs
 
 
@@ -95,7 +95,7 @@ def test_prohit_insert_probability_filters():
         prohit.on_activate(0, 0, 500, 0, 0.0)
     # The horizon is the next tREFI tick.
     assert prohit.advance_to(DDR4_2400.tREFI + 1.0) == 2 * DDR4_2400.tREFI
-    assert prohit.drain_victim_refreshes() == []
+    assert prohit.pending_vrefs == []
 
 
 def test_prohit_tables_bounded():
@@ -122,7 +122,7 @@ def test_mrloc_boosts_probability_on_locality():
         mrloc.attach(make_context())
         for _ in range(3000):
             mrloc.on_activate(0, 0, 100, 0, 0.0)
-        return len(mrloc.drain_victim_refreshes())
+        return len(mrloc.pending_vrefs)
 
     assert refreshes_with_boost(8.0) > 2.0 * refreshes_with_boost(1.0)
 
@@ -132,7 +132,7 @@ def test_mrloc_cold_victims_use_base_probability():
     mrloc.attach(make_context())
     for row in range(0, 4000, 2):
         mrloc.on_activate(0, 0, row + 1, 0, 0.0)
-    assert mrloc.drain_victim_refreshes() == []
+    assert mrloc.pending_vrefs == []
 
 
 def test_mrloc_base_probability_derived_from_para():

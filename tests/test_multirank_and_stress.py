@@ -51,7 +51,7 @@ def test_two_rank_attack_blocked(two_rank_spec):
     config = SystemConfig(
         spec=two_rank_spec, disturbance=DisturbanceProfile(nrh=128)
     )
-    result = System(config, [trace], BlockHammer()).run(instructions_per_thread=30_000)
+    result = System(config, [trace], mitigation_factory=BlockHammer).run(instructions_per_thread=30_000)
     assert result.total_bitflips == 0
 
 
@@ -97,7 +97,9 @@ def test_refresh_storm_under_increased_rate(small_spec):
     from repro.mitigations.refresh_rate import IncreasedRefreshRate
 
     config = SystemConfig(spec=small_spec, disturbance=DisturbanceProfile(nrh=64))
-    system = System(config, [_random_trace(small_spec)], IncreasedRefreshRate())
+    system = System(
+        config, [_random_trace(small_spec)], mitigation_factory=IncreasedRefreshRate
+    )
     result = system.run(instructions_per_thread=5_000)
     assert result.threads[0].instructions >= 5_000
     assert result.refreshes > 0

@@ -25,11 +25,12 @@ from repro.obs import (
     to_perfetto,
     write_perfetto,
 )
-from repro.obs.metrics import FIELDS
+from repro.obs.metrics import FIELDS, write_csv
 from repro.obs.profile import format_profile_breakdown, write_report_json
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.utils.rng import DeterministicRng
+from repro.utils.validation import ConfigError
 
 
 # ----------------------------------------------------------------------
@@ -51,13 +52,11 @@ def test_obs_config_defaults_are_inert():
     config = ObsConfig()
     assert not config.trace and not config.metrics
     bus = TelemetryBus()
-    assert not bus.enabled
     assert bus.trace is None and bus.metrics is None
 
 
 def test_bus_hands_out_category_probes():
     bus = TelemetryBus(ObsConfig(trace=True))
-    assert bus.enabled
     probe = bus.probe("mitigation")
     assert isinstance(probe, Probe)
     probe(5.0, "dcbf_rotate", 1, epoch=3)
@@ -66,7 +65,6 @@ def test_bus_hands_out_category_probes():
 
 def test_bus_metrics_only_mode():
     bus = TelemetryBus(ObsConfig(metrics=True))
-    assert bus.enabled
     assert bus.trace is None and bus.metrics is not None
 
 
@@ -83,8 +81,16 @@ def test_ring_bound_drops_oldest_and_counts():
 
 
 def test_trace_limit_validation():
-    with pytest.raises(ValueError):
-        TraceSink(limit=0)
+    with pytest.raises(ConfigError, match="trace_limit"):
+        ObsConfig(trace_limit=0)
+
+
+@pytest.mark.parametrize("epoch_ns", [0.0, -5.0])
+def test_non_positive_metrics_epoch_rejected(epoch_ns):
+    """A non-positive sampling period would reschedule sampling at the
+    same instant forever; the config refuses it before any run."""
+    with pytest.raises(ConfigError, match="metrics_epoch_ns"):
+        ObsConfig(metrics=True, metrics_epoch_ns=epoch_ns)
 
 
 def test_measured_events_boundary_is_strict():
@@ -169,7 +175,7 @@ def test_write_perfetto_round_trips(tmp_path):
     sink = TraceSink()
     sink.emit(10.0, "os", "kill", 0, {"thread": 2})
     path = tmp_path / "trace.json"
-    document = write_perfetto(path, sink)
+    document = write_perfetto(path, sink.events, sink.measure_start)
     assert json.loads(path.read_text()) == document
 
 
@@ -219,7 +225,7 @@ def test_collector_csv_round_trip(tmp_path, tiny_spec):
     system = _tiny_system(tiny_spec)
     collector.sample(system, 10.0)
     path = tmp_path / "metrics.csv"
-    count = collector.write_csv(path)
+    count = write_csv(path, collector.rows)
     assert count == len(collector.rows) > 0
     with open(path) as handle:
         rows = list(csv.DictReader(handle))

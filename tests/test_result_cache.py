@@ -26,6 +26,7 @@ from repro.harness.parallel import (
     single_job,
 )
 from repro.harness.runner import HarnessConfig
+from repro.obs.probe import ObsConfig
 from repro.workloads.mixes import attack_mixes
 
 
@@ -68,6 +69,26 @@ def test_job_result_json_roundtrip_exact(tmp_path, hcfg2):
     assert cached.governor_actions == fresh.governor_actions
     assert cached.extras == {}
     assert cached.key == job.key
+
+
+def test_observed_job_record_roundtrips(tmp_path):
+    """An observed job's telemetry-bus record (trace events, drop count,
+    warmup boundary, metric rows) comes back from the cache unchanged."""
+    hcfg = HarnessConfig(scale=4096.0, instructions_per_thread=2_000, warmup_ns=5_000.0)
+    obs = ObsConfig(trace=True, metrics=True, metrics_epoch_ns=5_000.0)
+    job = mix_job(hcfg, attack_mixes(1)[0], "blockhammer", obs=obs)
+    fresh = execute_job(job)
+    record = fresh.obs_record
+    assert record["events"] and record["metric_rows"]
+    assert record["measure_start"] is not None
+    cache = ResultCache(tmp_path)
+    cache.put(job, fresh)
+    cached = cache.get(job)
+    assert cached.obs_record == record
+    assert cached.result == fresh.result
+    # The unobserved job is another job, and it records nothing.
+    assert cache.get(dataclasses.replace(job, obs=None)) is None
+    assert execute_job(dataclasses.replace(job, obs=None)).obs_record is None
 
 
 def test_serial_parallel_and_cache_hit_rows_identical(tmp_path, hcfg2):

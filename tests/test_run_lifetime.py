@@ -29,7 +29,7 @@ from repro.dram.address import AddressMapping, MappingScheme
 from repro.dram.spec import DDR4_2400
 from repro.harness import parallel
 from repro.harness.runner import HarnessConfig, Runner
-from repro.obs import ObsConfig, TelemetryBus
+from repro.obs import ObsConfig
 from repro.os.spec import GovernorSpec
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
@@ -91,8 +91,8 @@ def _run_migrated():
 
 
 def _run_observed():
-    bus = TelemetryBus(ObsConfig(trace=True, metrics=True, metrics_epoch_ns=2_000.0))
-    return Runner(HCFG, obs=bus).run_mix(attack_mixes(1)[0], "blockhammer")
+    obs = ObsConfig(trace=True, metrics=True, metrics_epoch_ns=2_000.0)
+    return Runner(HCFG, obs=obs).run_mix(attack_mixes(1)[0], "blockhammer")
 
 
 def _run_two_channel():

@@ -30,7 +30,7 @@ from bisect import bisect_left
 from repro.cpu.trace import ListTrace, TraceRecord
 from repro.dram.spec import DDR4_2400
 from repro.harness.runner import HarnessConfig, Runner
-from repro.mitigations.base import MitigationMechanism
+from repro.mitigations.base import MitigationMechanism, NoMitigation
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.workloads.mixes import attack_mixes
@@ -44,14 +44,14 @@ def run_system(
     traces,
     *,
     single_step,
-    mitigation=None,
+    mitigation_factory=NoMitigation,
     max_time_ns=60_000.0,
     seed=7,
 ):
     """Run a System with per-device command capture, optionally in the
     legacy tick-by-tick mode, and return (system, logs, result)."""
     config = SystemConfig(spec=spec, seed=seed)
-    system = System(config, traces, mitigation=mitigation)
+    system = System(config, traces, mitigation_factory=mitigation_factory)
     logs = []
     for device in system.memsys.devices:
         device.command_log = []
@@ -223,7 +223,7 @@ def test_short_mitigation_horizon_bounds_every_leap(small_spec):
         small_spec,
         [ListTrace(make_records(count=300, rows=64))],
         single_step=False,
-        mitigation=mech,
+        mitigation_factory=lambda: mech,
         max_time_ns=20_000.0,
     )
     calls = mech.calls
@@ -255,7 +255,7 @@ def test_short_mitigation_horizon_matches_oracle(small_spec):
             small_spec,
             [ListTrace(make_records(count=300, rows=64))],
             single_step=single_step,
-            mitigation=mech,
+            mitigation_factory=lambda: mech,
             max_time_ns=20_000.0,
         )
         return logs, dataclasses.asdict(result)
