@@ -6,7 +6,9 @@ scale where the OS governor acts, and every example, each in its own
 interpreter under a ``sys.setprofile`` hook.  The hook records each
 ``src/repro`` code object the first time it is called, in one file per
 process, so forked pool workers are covered too (fig5 also runs with
-``--workers 2`` and cold and warm through ``--cache-dir``).  With
+``--workers 2`` and cold and warm through ``--cache-dir``; the cold run
+adds ``--report-json``, ``--retries`` and ``--cache-max-entries`` so the
+CLI-only report and cache-bound paths count as reached).  With
 ``--perfbench`` it also runs ``perfbench/run.py --trace 1`` on both
 workloads (several minutes under the hook).
 
@@ -93,7 +95,10 @@ def runs(tmp: pathlib.Path, perfbench: bool) -> list[tuple[str, list[str]]]:
         for name in ("fig4", "rhli", "table8")
     ]
     out += [
-        ("fig5 cold", [*cli, "fig5", *TINY, "--workers", "1", *cache]),
+        ("fig5 cold", [
+            *cli, "fig5", *TINY, "--workers", "1", *cache, "--retries", "1",
+            "--cache-max-entries", "1000", "--report-json", str(tmp / "report.json"),
+        ]),
         ("fig5 warm", [*cli, "fig5", *TINY, "--workers", "1", *cache]),
         ("fig5 pool", [*cli, "fig5", *TINY, "--workers", "2", "--progress"]),
         ("chansweep", [*cli, "chansweep", *TINY, "--channel-sweep", "1,2", "--pinned"]),

@@ -515,11 +515,11 @@ def _execute_jobs(
     of jobs that exhausted the policy's attempt budget.
 
     The executor is chosen once per sweep: a process pool when
-    ``workers > 1`` and more than one job is pending, else an
-    :class:`_InlineExecutor`.  A broken pool is rebuilt as a pool, so a
-    retried job stays preemptible by its timeout; only a pool that can
-    no longer spawn moves the rest of the sweep in-process, and every
-    job keeps the attempts it has already used.
+    ``workers > 1``, even for one job, so ``job_timeout_s`` can preempt
+    it; else an :class:`_InlineExecutor`.  A broken pool is rebuilt as a
+    pool, so a retried job stays preemptible by its timeout; only a pool
+    that can no longer spawn moves the rest of the sweep in-process, and
+    every job keeps the attempts it has already used.
 
     Invariants: at most ``count`` attempts are in flight (one
     in-process, so an interrupt loses no finished result; on a pool, a
@@ -530,7 +530,7 @@ def _execute_jobs(
     queue: deque[_Attempt] = deque(_Attempt(job) for job in ordered)
     inflight: dict = {}  # future -> _Attempt
     count = max(1, workers or 1)
-    in_process = count == 1 or len(ordered) == 1
+    in_process = count == 1
     executor: Executor | None = None
 
     def retry_or_fail(entry: _Attempt, kind: str, message: str, now: float) -> None:

@@ -3,7 +3,7 @@ refresh management, and the controller itself."""
 
 from repro.mem.request import Request, RequestKind
 from repro.mem.queues import RequestQueue
-from repro.mem.scheduler import SchedulingPolicy, FrFcfsPolicy, FcfsPolicy
+from repro.mem.scheduler import SchedulingPolicy, FrFcfsPolicy
 from repro.mem.refresh import RefreshManager
 from repro.mem.controller import MemoryController, ControllerConfig, ThreadMemStats
 
@@ -13,7 +13,6 @@ __all__ = [
     "RequestQueue",
     "SchedulingPolicy",
     "FrFcfsPolicy",
-    "FcfsPolicy",
     "RefreshManager",
     "MemoryController",
     "ControllerConfig",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 from repro.utils.aggregate import merge_fields
 
@@ -29,7 +28,7 @@ from repro.dram.device import DramDevice
 from repro.dram.spec import DramSpec
 from repro.mem.queues import RequestQueue
 from repro.mem.refresh import RefreshManager
-from repro.mem.request import Request, ServiceClass
+from repro.mem.request import Request
 from repro.mem.scheduler import FrFcfsPolicy, SchedulingPolicy
 from repro.mitigations.base import MitigationMechanism, NoMitigation
 from repro.utils.validation import require
@@ -171,16 +170,12 @@ class MemoryController:
         self.total_enqueued = 0
         # One bound selector per queue, ``select(now, blocked_ranks) ->
         # (command, request, next_ready)``: the policy's fused closure
-        # (every stable object prebound) where it has one, else its
-        # ``select_raw`` with the queue, device and mitigation bound.
-        make_fused = getattr(self.policy, "make_fused", None)
-        if make_fused is None:
-            make_fused = partial(partial, self.policy.select_raw)
-        self._select_read = make_fused(self.read_queue, self.device, self.mitigation)
-        self._select_write = make_fused(self.write_queue, self.device, self.mitigation)
-        # Bound invalidation endpoints for the per-command hot path
-        # (_issue_for_request): equivalent to _invalidate_bank, minus
-        # two method frames per issued command.
+        # with the queue, device and mitigation prebound.
+        policy, device, mitigation = self.policy, self.device, self.mitigation
+        self._select_read = policy.make_fused(self.read_queue, device, mitigation)
+        self._select_write = policy.make_fused(self.write_queue, device, mitigation)
+        # Bound invalidation endpoints: _invalidate_bank calls them, and
+        # the per-command hot path (_issue_for_request) inlines them.
         self._rq_cache_pop = self.read_queue.bank_cache.pop
         self._wq_cache_pop = self.write_queue.bank_cache.pop
 
@@ -253,13 +248,10 @@ class MemoryController:
         """
         bank = self.device.flat_banks[request.bank_key]
         if bank.open_row == request.address.row:
-            request.service_class = ServiceClass.HIT
             stats.row_hits += 1
         elif bank.open_row is None:
-            request.service_class = ServiceClass.MISS
             stats.row_misses += 1
         else:
-            request.service_class = ServiceClass.CONFLICT
             stats.row_conflicts += 1
 
     # ------------------------------------------------------------------
@@ -283,8 +275,8 @@ class MemoryController:
         scalars live each step.
         """
         key = bank_key(rank_id, bank_id)
-        self.read_queue.invalidate_bank(key)
-        self.write_queue.invalidate_bank(key)
+        self._rq_cache_pop(key, None)
+        self._wq_cache_pop(key, None)
 
     def _invalidate_rank(self, rank_id: int) -> None:
         """Rank-wide command (REF): every bank's timing state moved."""
@@ -581,6 +573,5 @@ class MemoryController:
             stats.read_latency_count += 1
         else:
             done = now + self._tCWL + self._tBL
-        request.complete_time = done
         if self.on_request_complete is not None:
             self.on_request_complete(request, done)

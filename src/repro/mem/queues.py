@@ -17,10 +17,10 @@ cooperative:
   can become the oldest hit or kill a precharge decision via hit
   protection) and on ``remove`` (the cached candidate may be the
   departing request);
-* the memory controller drops entries through :meth:`invalidate_bank` /
-  :meth:`invalidate_rank` whenever a command changes a bank's row-buffer
-  state or its mitigation verdicts (ACT/PRE/RD/WR/VREF, REF for the
-  rank);
+* the memory controller pops a bank's entry from ``bank_cache``
+  whenever a command changes the bank's row-buffer state or its
+  mitigation verdicts (ACT/PRE/RD/WR/VREF), and drops a whole rank's
+  through :meth:`invalidate_rank` on REF;
 * time-driven verdict changes (a blocked row's delay expiring, a
   blacklist epoch rotation) need no callback: every cached entry carries
   its own expiry instant and the scheduler re-walks the bank once
@@ -110,10 +110,6 @@ class RequestQueue:
     # ------------------------------------------------------------------
     # Dirty-bank tracking (controller-facing).
     # ------------------------------------------------------------------
-    def invalidate_bank(self, key: int) -> None:
-        """Mark one bank dirty: drop its cached scheduling decision."""
-        self.bank_cache.pop(key, None)
-
     def invalidate_rank(self, rank: int) -> None:
         """Mark every bank of ``rank`` dirty (rank-wide commands: REF)."""
         lo = rank << BANK_KEY_BITS

@@ -14,14 +14,6 @@ class RequestKind(enum.Enum):
     WRITE = "write"
 
 
-class ServiceClass(enum.Enum):
-    """Row-buffer outcome of a request, recorded at first service."""
-
-    HIT = "hit"  # row already open
-    MISS = "miss"  # bank closed, ACT needed
-    CONFLICT = "conflict"  # different row open, PRE needed first
-
-
 class Request:
     """One cache-line memory request from a thread.
 
@@ -33,9 +25,7 @@ class Request:
     ``__post_init__`` pair costs a second Python call per request on
     that path.
 
-    ``address`` carries the decoded DRAM coordinates.  The controller
-    fills in ``service_class`` when the request first receives a command
-    and ``complete_time`` when its data transfer finishes.
+    ``address`` carries the decoded DRAM coordinates.
     ``queue_seq`` is assigned by the request queue on insertion and
     orders FR-FCFS tie-breaks (arrival order within the queue).
 
@@ -54,8 +44,6 @@ class Request:
         "kind",
         "address",
         "arrival",
-        "service_class",
-        "complete_time",
         "queue_seq",
         "blocked_until",
         "blocked_wake",
@@ -76,21 +64,14 @@ class Request:
         kind: RequestKind,
         address: DecodedAddress,
         arrival: float,
-        service_class: ServiceClass | None = None,
-        complete_time: float | None = None,
-        queue_seq: int = 0,
-        blocked_until: float = 0.0,
-        blocked_wake: float = 0.0,
     ) -> None:
         self.thread = thread
         self.kind = kind
         self.address = address
         self.arrival = arrival
-        self.service_class = service_class
-        self.complete_time = complete_time
-        self.queue_seq = queue_seq
-        self.blocked_until = blocked_until
-        self.blocked_wake = blocked_wake
+        self.queue_seq = 0
+        self.blocked_until = 0.0
+        self.blocked_wake = 0.0
         self.safe_act_time = 0.0
         self.safe_until = 0.0
         # Denormalized plain attributes: these are read in the
@@ -106,7 +87,3 @@ class Request:
         self.row = address.row
         self.col = address.col
         self.bank_key = (rank << BANK_KEY_BITS) | bank
-
-    def key(self) -> tuple[int, int]:
-        """(rank, bank) the request targets."""
-        return (self.address.rank, self.address.bank)

@@ -14,7 +14,13 @@ query per considered request, ``device.earliest_issue`` per candidate,
 no caching of any kind.  It exists to be *obviously* correct so the
 differential harness (``tests/differential.py``) can prove the fast
 policy equivalent to it: identical command streams, identical simulated
-results.  :class:`FcfsPolicy` (strict arrival order) is an ablation.
+results.
+
+A policy is one factory, :meth:`SchedulingPolicy.make_fused`: bound to
+one (queue, device, mitigation) triple it returns ``fused(now,
+blocked_ranks) -> (command, request, next_ready)``.  The controller
+binds one per queue when it is built; :meth:`SchedulingPolicy.select`
+wraps one call in a :class:`Selection` for one-off callers.
 
 This is the simulator's hottest code path.  The fast policy is
 **incremental across scheduling steps**: each bank's decision — the
@@ -66,6 +72,7 @@ not — the differential harness pins exactly that equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.dram.address import BANK_KEY_BITS
 from repro.dram.commands import Command, CommandKind
@@ -140,36 +147,33 @@ class Selection:
 
 
 class SchedulingPolicy:
-    """Interface: pick the next command for a set of queued requests."""
+    """Interface: pick the next command for one request queue.
+
+    A policy implements :meth:`make_fused` and nothing else.
+    """
 
     name = "base"
 
+    def make_fused(
+        self, queue: RequestQueue, device: DramDevice, mitigation: MitigationMechanism
+    ):
+        """The select for one fixed (queue, device, mitigation) triple:
+        ``fused(now, blocked_ranks) -> (command, request, next_ready)``,
+        the :class:`Selection` contents as a tuple."""
+        raise NotImplementedError
+
     def select(
         self,
-        requests,
+        queue: RequestQueue,
         device: DramDevice,
         mitigation: MitigationMechanism,
         now: float,
         blocked_ranks: frozenset[int],
     ) -> Selection:
-        raise NotImplementedError
-
-    def select_raw(
-        self,
-        requests,
-        device: DramDevice,
-        mitigation: MitigationMechanism,
-        now: float,
-        blocked_ranks: frozenset[int],
-    ) -> tuple[Command | None, Request | None, float]:
-        """Tuple-returning form of :meth:`select` for the controller's
-        batched hot loop: ``(command, request, next_ready)`` with the
-        exact same normative contents, minus the Selection allocation.
-        Policies may override with a native implementation; the default
-        wraps :meth:`select`.
-        """
-        sel = self.select(requests, device, mitigation, now, blocked_ranks)
-        return sel.command, sel.request, sel.next_ready
+        """One step as a :class:`Selection`.  A one-call :meth:`make_fused`
+        closure is exact: all incremental state lives on the queue."""
+        fused = self.make_fused(queue, device, mitigation)
+        return Selection(*fused(now, blocked_ranks))
 
 
 def _examine_bank(
@@ -251,41 +255,10 @@ class FrFcfsPolicy(SchedulingPolicy):
     dropped or has expired (see the module docstring for the protocol)
     and reads every other bank's decision from the cache.  The one
     select body is :meth:`make_fused`; it serves every rank count and
-    refresh-draining windows.  Plain-list inputs (no cache) take the
-    reference scan.
+    refresh-draining windows.
     """
 
     name = "fr-fcfs"
-
-    def select(
-        self,
-        requests,
-        device: DramDevice,
-        mitigation: MitigationMechanism,
-        now: float,
-        blocked_ranks: frozenset[int],
-    ) -> Selection:
-        command, request, next_ready = self.select_raw(
-            requests, device, mitigation, now, blocked_ranks
-        )
-        return Selection(command, request, next_ready)
-
-    def select_raw(
-        self,
-        requests,
-        device: DramDevice,
-        mitigation: MitigationMechanism,
-        now: float,
-        blocked_ranks: frozenset[int],
-    ) -> tuple[Command | None, Request | None, float]:
-        """One step for callers without a bound selector.  A one-call
-        :meth:`make_fused` closure is exact: all incremental state lives
-        on the :class:`~repro.mem.queues.RequestQueue`, not the closure.
-        """
-        if not isinstance(requests, RequestQueue):
-            sel = _naive_select(requests, device, mitigation, now, blocked_ranks)
-            return sel.command, sel.request, sel.next_ready
-        return self.make_fused(requests, device, mitigation)(now, blocked_ranks)
 
     def make_fused(self, requests, device, mitigation):
         """The FR-FCFS select for one fixed (queue, device, mitigation)
@@ -414,28 +387,23 @@ class FrFcfsPolicy(SchedulingPolicy):
 
         return fused
 
-    def _scan_select(
-        self,
-        requests: RequestQueue,
-        device: DramDevice,
-        mitigation: MitigationMechanism,
-        now: float,
-        blocked_ranks: frozenset[int],
-    ) -> Selection:
-        """Retired: :meth:`make_fused` serves refresh windows and
-        multi-rank devices too, so nothing calls this.  It stays defined
-        because ``perfbench/tracing.py`` patches it by name (its
-        ``mem.scan_select_calls`` count reads 0 by design)."""
-        return self.select(requests, device, mitigation, now, blocked_ranks)
+    # Retired entry points that nothing calls, so they add nothing to
+    # ``mem.select_calls``/``mem.scan_select_calls``.  They stay defined
+    # because ``perfbench/tracing.py`` patches them by name.
+    def select_raw(self, queue, device, mitigation, now, blocked_ranks):
+        return self.make_fused(queue, device, mitigation)(now, blocked_ranks)
+
+    def _scan_select(self, queue, device, mitigation, now, blocked_ranks):
+        return self.select(queue, device, mitigation, now, blocked_ranks)
 
 
 def _naive_select(
-    requests,
+    queue: RequestQueue,
     device: DramDevice,
     mitigation: MitigationMechanism,
     now: float,
     blocked_ranks: frozenset[int],
-) -> Selection:
+) -> tuple[Command | None, Request | None, float]:
     """One obviously-correct FR-FCFS step: a fresh scan, no cross-step
     state.
 
@@ -448,9 +416,9 @@ def _naive_select(
     is the reference the differential harness holds the incremental
     policy to.
     """
-    items = requests.items if isinstance(requests, RequestQueue) else requests
+    items = queue.items
     if not items:
-        return Selection(None, None, _NEVER)
+        return None, None, _NEVER
     by_bank: dict[int, list[Request]] = {}
     for req in items:  # arrival order within each bank
         by_bank.setdefault(req.bank_key, []).append(req)
@@ -533,15 +501,11 @@ def _naive_select(
 
     if best_hit is not None:
         req = best_hit
-        return Selection(
-            Command(best_hit_kind, req.rank, req.bank, req.row, req.col), req, now
-        )
+        return Command(best_hit_kind, req.rank, req.bank, req.row, req.col), req, now
     if best_row is not None:
         req = best_row
-        return Selection(
-            Command(best_row_kind, req.rank, req.bank, best_row_row), req, now
-        )
-    return Selection(None, None, next_ready)
+        return Command(best_row_kind, req.rank, req.bank, best_row_row), req, now
+    return None, None, next_ready
 
 
 class ReferenceFrFcfsPolicy(SchedulingPolicy):
@@ -555,50 +519,5 @@ class ReferenceFrFcfsPolicy(SchedulingPolicy):
 
     name = "fr-fcfs-reference"
 
-    def select(
-        self,
-        requests,
-        device: DramDevice,
-        mitigation: MitigationMechanism,
-        now: float,
-        blocked_ranks: frozenset[int],
-    ) -> Selection:
-        return _naive_select(requests, device, mitigation, now, blocked_ranks)
-
-
-class FcfsPolicy(SchedulingPolicy):
-    """Strict arrival-order scheduling (ablation reference)."""
-
-    name = "fcfs"
-
-    def select(
-        self,
-        requests,
-        device: DramDevice,
-        mitigation: MitigationMechanism,
-        now: float,
-        blocked_ranks: frozenset[int],
-    ) -> Selection:
-        items = requests.items if isinstance(requests, RequestQueue) else requests
-        if not items:
-            return Selection(None, None, _NEVER)
-        # Strict FCFS: only the head request is ever considered.
-        req = items[0]
-        a = req.address
-        bank = device.bank(a.rank, a.bank)
-        if bank.open_row == a.row:
-            kind = CommandKind.WR if req.is_write else CommandKind.RD
-            cmd = Command(kind, a.rank, a.bank, a.row, a.col)
-        elif a.rank in blocked_ranks:
-            return Selection(None, None, _NEVER)
-        elif bank.open_row is None:
-            allowed = mitigation.act_allowed_at(a.rank, a.bank, a.row, req.thread, now)
-            if allowed > now:
-                return Selection(None, None, allowed)
-            cmd = Command(CommandKind.ACT, a.rank, a.bank, a.row)
-        else:
-            cmd = Command(CommandKind.PRE, a.rank, a.bank, bank.open_row)
-        t = device.earliest_issue(cmd, now)
-        if t <= now:
-            return Selection(cmd, req, now)
-        return Selection(None, None, t)
+    def make_fused(self, queue, device, mitigation):
+        return partial(_naive_select, queue, device, mitigation)

@@ -254,6 +254,27 @@ def test_persistent_hang_exhausts_attempts_and_skips(jobs, fault_free):
 
 @needs_pool
 @pytest.mark.chaos_smoke
+def test_one_job_sweep_runs_on_the_pool_and_times_out(jobs):
+    """``workers > 1`` puts even a one-job sweep on a pool, so the job
+    timeout preempts its hang instead of the job sleeping in-process."""
+    policy = ExecPolicy(attempts=1, job_timeout_s=0.5)
+    report = SweepReport()
+    results = run_jobs(
+        jobs[:1],
+        workers=2,
+        policy=policy,
+        on_error="skip",
+        faults=hang_once("403.gcc", seconds=5.0),
+        report=report,
+    )
+    [entry] = results.values()
+    assert isinstance(entry, JobFailure)
+    assert entry.kind == "timeout" and entry.attempts == 1
+    assert report.timeouts == 1 and report.executed == 0
+
+
+@needs_pool
+@pytest.mark.chaos_smoke
 def test_crash_exit_code_is_the_documented_one():
     """The injected crash kills the worker with CRASH_EXIT_CODE — proof
     the chaos plan executes inside the child, not in the parent."""

@@ -5,7 +5,7 @@ import pytest
 from repro.dram.address import DecodedAddress
 from repro.dram.device import DramDevice
 from repro.mem.controller import ControllerConfig, MemoryController
-from repro.mem.request import Request, RequestKind, ServiceClass
+from repro.mem.request import Request, RequestKind
 from repro.mitigations.base import MitigationMechanism
 from repro.utils.validation import ConfigError
 
@@ -47,7 +47,8 @@ def test_read_completes_with_callback(small_spec):
     assert done_request is request
     expected = small_spec.tRCD + small_spec.tCL + small_spec.tBL
     assert done_time >= expected
-    assert request.service_class is ServiceClass.MISS
+    stats = controller.thread_stats[0]
+    assert (stats.row_hits, stats.row_misses, stats.row_conflicts) == (0, 1, 0)
 
 
 def test_row_hit_classification(small_spec):
@@ -59,10 +60,8 @@ def test_row_hit_classification(small_spec):
     drive(controller, 500.0)  # opens row 3
     controller.enqueue(second, 500.0)
     drive(controller, 2000.0, start=500.0)
-    assert first.service_class is ServiceClass.MISS
-    assert second.service_class is ServiceClass.HIT
     stats = controller.thread_stats[0]
-    assert stats.row_misses == 1 and stats.row_hits == 1
+    assert (stats.row_hits, stats.row_misses, stats.row_conflicts) == (1, 1, 0)
 
 
 def test_conflict_classification(small_spec):
@@ -74,7 +73,8 @@ def test_conflict_classification(small_spec):
     drive(controller, 500.0)
     controller.enqueue(conflict, 500.0)
     drive(controller, 3000.0, start=500.0)
-    assert conflict.service_class is ServiceClass.CONFLICT
+    stats = controller.thread_stats[0]
+    assert (stats.row_hits, stats.row_misses, stats.row_conflicts) == (0, 1, 1)
 
 
 def test_queue_capacity_backpressure(small_spec):

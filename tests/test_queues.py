@@ -46,4 +46,3 @@ def test_request_denormalized_fields():
     assert r.is_write
     assert r.rank == 0 and r.bank == 5 and r.row == 77
     assert r.bank_key == 5
-    assert r.key() == (0, 5)

@@ -1,12 +1,18 @@
-"""Unit tests for FR-FCFS scheduling and mitigation gating."""
+"""Unit tests for FR-FCFS scheduling and mitigation gating.
+
+Every case runs the fast :class:`FrFcfsPolicy` on a
+:class:`RequestQueue` and checks it against the naive
+:class:`ReferenceFrFcfsPolicy` on the same queue.
+"""
 
 import pytest
 
 from repro.dram.address import DecodedAddress
 from repro.dram.commands import Command, CommandKind
 from repro.dram.device import DramDevice
+from repro.mem.queues import RequestQueue
 from repro.mem.request import Request, RequestKind
-from repro.mem.scheduler import FcfsPolicy, FrFcfsPolicy
+from repro.mem.scheduler import FrFcfsPolicy, ReferenceFrFcfsPolicy
 from repro.mitigations.base import MitigationMechanism, NoMitigation
 
 NO_BLOCK = frozenset()
@@ -15,6 +21,18 @@ NO_BLOCK = frozenset()
 def make_request(bank=0, row=0, write=False, thread=0):
     kind = RequestKind.WRITE if write else RequestKind.READ
     return Request(thread, kind, DecodedAddress(0, bank, row, 0), arrival=0.0)
+
+
+def select(requests, device, mitigation, now, blocked_ranks):
+    """One FR-FCFS step over ``requests``, pushed in order into a fresh
+    queue; asserts the fast and reference policies agree."""
+    queue = RequestQueue()
+    for req in requests:
+        queue.push(req)
+    ref = ReferenceFrFcfsPolicy().select(queue, device, mitigation, now, blocked_ranks)
+    sel = FrFcfsPolicy().select(queue, device, mitigation, now, blocked_ranks)
+    assert sel == ref
+    return sel
 
 
 class BlockRow(MitigationMechanism):
@@ -37,8 +55,7 @@ def device(small_spec):
 
 
 def test_closed_bank_gets_act(device):
-    policy = FrFcfsPolicy()
-    sel = policy.select([make_request(row=5)], device, NoMitigation(), 0.0, NO_BLOCK)
+    sel = select([make_request(row=5)], device, NoMitigation(), 0.0, NO_BLOCK)
     assert sel.command.kind is CommandKind.ACT
     assert sel.command.row == 5
 
@@ -48,8 +65,7 @@ def test_row_hit_prioritized_over_older_conflict(device, small_spec):
     now = small_spec.tRCD
     older_conflict = make_request(row=9)
     younger_hit = make_request(row=5)
-    policy = FrFcfsPolicy()
-    sel = policy.select(
+    sel = select(
         [older_conflict, younger_hit], device, NoMitigation(), now, NO_BLOCK
     )
     assert sel.command.kind is CommandKind.RD
@@ -59,8 +75,7 @@ def test_row_hit_prioritized_over_older_conflict(device, small_spec):
 def test_conflict_precharges_when_no_hits(device, small_spec):
     device.issue(Command(CommandKind.ACT, 0, 0, 5), 0.0)
     now = small_spec.tRAS + 1.0
-    policy = FrFcfsPolicy()
-    sel = policy.select([make_request(row=9)], device, NoMitigation(), now, NO_BLOCK)
+    sel = select([make_request(row=9)], device, NoMitigation(), now, NO_BLOCK)
     assert sel.command.kind is CommandKind.PRE
 
 
@@ -72,8 +87,7 @@ def test_no_precharge_under_pending_hit(device, small_spec):
     # the open row from being precharged.
     hit = make_request(row=5)
     device.bank(0, 0).next_rd = now + 100.0  # force the hit not-ready
-    policy = FrFcfsPolicy()
-    sel = policy.select([conflict, hit], device, NoMitigation(), now, NO_BLOCK)
+    sel = select([conflict, hit], device, NoMitigation(), now, NO_BLOCK)
     assert sel.command is None
     assert sel.next_ready == pytest.approx(now + 100.0)
 
@@ -81,25 +95,22 @@ def test_no_precharge_under_pending_hit(device, small_spec):
 def test_unsafe_act_skipped_younger_safe_proceeds(device):
     blocked = make_request(row=7)
     safe = make_request(row=8)
-    policy = FrFcfsPolicy()
     mitigation = BlockRow(row=7, until=500.0)
-    sel = policy.select([blocked, safe], device, mitigation, 0.0, NO_BLOCK)
+    sel = select([blocked, safe], device, mitigation, 0.0, NO_BLOCK)
     assert sel.command.kind is CommandKind.ACT
     assert sel.command.row == 8
 
 
 def test_all_unsafe_reports_wake_time(device):
     blocked = make_request(row=7)
-    policy = FrFcfsPolicy()
     mitigation = BlockRow(row=7, until=500.0)
-    sel = policy.select([blocked], device, mitigation, 0.0, NO_BLOCK)
+    sel = select([blocked], device, mitigation, 0.0, NO_BLOCK)
     assert sel.command is None
     assert sel.next_ready == pytest.approx(500.0)
 
 
 def test_blocked_rank_accepts_no_row_commands(device):
-    policy = FrFcfsPolicy()
-    sel = policy.select(
+    sel = select(
         [make_request(row=5)], device, NoMitigation(), 0.0, frozenset({0})
     )
     assert sel.command is None
@@ -107,8 +118,7 @@ def test_blocked_rank_accepts_no_row_commands(device):
 
 def test_blocked_rank_still_serves_column_hits(device, small_spec):
     device.issue(Command(CommandKind.ACT, 0, 0, 5), 0.0)
-    policy = FrFcfsPolicy()
-    sel = policy.select(
+    sel = select(
         [make_request(row=5)], device, NoMitigation(), small_spec.tRCD, frozenset({0})
     )
     assert sel.command.kind is CommandKind.RD
@@ -118,26 +128,14 @@ def test_one_row_command_per_bank_per_step(device):
     a = make_request(bank=0, row=1)
     b = make_request(bank=0, row=2)
     c = make_request(bank=1, row=3)
-    policy = FrFcfsPolicy()
-    sel = policy.select([a, b, c], device, NoMitigation(), 0.0, NO_BLOCK)
+    sel = select([a, b, c], device, NoMitigation(), 0.0, NO_BLOCK)
     # Oldest per bank wins: request a (bank 0).
     assert sel.request is a
 
 
-def test_fcfs_considers_only_head(device):
-    policy = FcfsPolicy()
-    head_blocked = make_request(row=7)
-    younger = make_request(row=8)
-    mitigation = BlockRow(row=7, until=500.0)
-    sel = policy.select([head_blocked, younger], device, mitigation, 0.0, NO_BLOCK)
-    # Strict FCFS: does NOT bypass the blocked head.
-    assert sel.command is None
-
-
 def test_write_hit_selected(device, small_spec):
     device.issue(Command(CommandKind.ACT, 0, 0, 5), 0.0)
-    policy = FrFcfsPolicy()
-    sel = policy.select(
+    sel = select(
         [make_request(row=5, write=True)],
         device,
         NoMitigation(),

@@ -122,14 +122,17 @@ def test_remove_invalidates_exactly_the_affected_bank(device):
     assert queue.bank_cache[bank_key(0, 1)] == before[bank_key(0, 1)]
 
 
-def test_explicit_bank_and_rank_invalidation():
-    queue = RequestQueue(16)
+def test_explicit_bank_and_rank_invalidation(small_spec, device):
+    controller = MemoryController(small_spec, device)
+    queues = (controller.read_queue, controller.write_queue)
     entries = {bank_key(0, 0): ("x",), bank_key(0, 3): ("y",), bank_key(1, 2): ("z",)}
-    queue.bank_cache.update(entries)
-    queue.invalidate_bank(bank_key(0, 3))
-    assert set(queue.bank_cache) == {bank_key(0, 0), bank_key(1, 2)}
-    queue.invalidate_rank(0)
-    assert set(queue.bank_cache) == {bank_key(1, 2)}
+    for queue in queues:
+        queue.bank_cache.update(entries)
+    controller._invalidate_bank(0, 3)
+    for queue in queues:
+        assert set(queue.bank_cache) == {bank_key(0, 0), bank_key(1, 2)}
+    controller.read_queue.invalidate_rank(0)
+    assert set(controller.read_queue.bank_cache) == {bank_key(1, 2)}
 
 
 def test_issued_command_dirties_exactly_its_bank_in_both_queues(small_spec, device):
@@ -218,7 +221,7 @@ def test_safe_verdict_survives_rd_and_pre_until_act_or_horizon(device):
         command = Command(kind, 0, 0, row)
         now = device.earliest_issue(command, at)
         device.issue(command, now)
-        queue.invalidate_bank(key)  # as the controller does per command
+        queue.bank_cache.pop(key, None)  # as the controller does per command
         return now
 
     def queries_after_select(now):
